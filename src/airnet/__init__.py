@@ -12,9 +12,7 @@ from .assembly import (
     LinkFlow,
     ReciprocalFlowError,
     boundary_pressure,
-    external_pressures,
     jacobian,
-    link_dp,
     link_flows,
     picard_system,
     residual,
@@ -23,13 +21,11 @@ from .linalg import SolveReport, lu_solve
 from .links import (
     DP_LIN_DEFAULT,
     GRAVITY,
-    AirState,
     TwoWayFlow,
     air_density,
     crack_conductance,
     crack_derivative,
     crack_flow,
-    fan_flow,
     large_opening_derivative,
     large_opening_flow,
 )
@@ -70,7 +66,6 @@ from .solvers import (
     SolverConfig,
     picard_init,
     solve,
-    solve_newton,
     walton_relaxation,
 )
 

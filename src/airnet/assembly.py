@@ -15,6 +15,7 @@ reference height and the link elevation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,6 @@ __all__ = [
     "LinkFlow",
     "ReciprocalFlowError",
     "boundary_pressure",
-    "external_pressures",
-    "link_dp",
     "link_flows",
     "residual",
     "jacobian",
@@ -68,6 +67,9 @@ class BoundaryState:
     outdoor_temp_k: float
 
     def __post_init__(self):
+        for name in ("wind_speed", "wind_direction_deg", "outdoor_temp_k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.wind_speed < 0:
             raise ValueError(f"wind speed must be >= 0, got {self.wind_speed}")
         if self.outdoor_temp_k <= 0:
@@ -113,67 +115,44 @@ def boundary_pressure(node: ExternalNode, bc: BoundaryState) -> float:
     return 0.5 * rho_out * cp * bc.wind_speed**2
 
 
-def external_pressures(net: Network, bc: BoundaryState) -> dict[str, float]:
-    """Derived wind pressure for every external node."""
-    return {n.id: boundary_pressure(n, bc) for n in net.external_nodes}
-
-
 # ---------------------------------------------------------------------------
-# node pressure columns
+# the link pass
 
-# Each link endpoint resolves to (zone column or None, constant offset, density):
-# pressure at elevation z is p[column] + offset for a zone, or just offset for
-# an external node (whose wind pressure is folded into the offset).
-
-
-def _endpoint(
-    net: Network,
-    node_id: str,
-    z: float,
-    bc: BoundaryState,
-    zone_index: dict[str, int],
-    externals: dict[str, ExternalNode],
-) -> tuple[int | None, float, float]:
-    column = zone_index.get(node_id)
-    if column is not None:
-        zone = net.zones[column]
-        rho = air_density(zone.temperature_k)
-        return column, -rho * GRAVITY * (z - zone.ref_height_m), rho
-    node = externals[node_id]
-    rho = air_density(bc.outdoor_temp_k)
-    offset = boundary_pressure(node, bc) - rho * GRAVITY * (z - node.ref_height_m)
-    return None, offset, rho
+# Each node resolves once per call to (zone column or None, density, reference
+# height, wind pressure).  Its pressure at elevation z is the constant offset
+# wind - rho * g * (z - ref), plus p[column] for a zone (whose wind term is 0).
+_Node = tuple[int | None, float, float, float]
 
 
-def link_dp(net: Network, link: Link, p: np.ndarray, bc: BoundaryState) -> float:
-    """Pressure difference across a link at its elevation (from minus to).
+def _node_table(net: Network, bc: BoundaryState) -> dict[str, _Node]:
+    table: dict[str, _Node] = {
+        z.id: (i, air_density(z.temperature_k), z.ref_height_m, 0.0)
+        for i, z in enumerate(net.zones)
+    }
+    rho_out = air_density(bc.outdoor_temp_k)
+    for node in net.external_nodes:
+        table[node.id] = (None, rho_out, node.ref_height_m, boundary_pressure(node, bc))
+    return table
 
-    For large openings the link elevation is the bottom edge, so this is the
-    dp_bottom argument of the opening flow law.
+
+def _endpoint(node: _Node, z: float, p: np.ndarray) -> tuple[float, float]:
+    """(constant offset, pressure) of a node at elevation z."""
+    column, rho, ref, wind = node
+    offset = wind - rho * GRAVITY * (z - ref)
+    return offset, offset + (p[column] if column is not None else 0.0)
+
+
+def _link_pass(net: Network, p: np.ndarray, nodes: dict[str, _Node]):
+    """Yield (link, col_f, col_t, dp, rho_f, rho_t) for every link.
+
+    dp is the pressure difference (from minus to) at the link elevation; for a
+    large opening that is its bottom edge, the dp_bottom of the opening law.
     """
-    zone_index = net.zone_index()
-    externals = net.external_map()
-    col_f, off_f, _ = _endpoint(net, link.from_node, link.elevation_m, bc, zone_index, externals)
-    col_t, off_t, _ = _endpoint(net, link.to_node, link.elevation_m, bc, zone_index, externals)
-    p_f = off_f + (p[col_f] if col_f is not None else 0.0)
-    p_t = off_t + (p[col_t] if col_t is not None else 0.0)
-    return p_f - p_t
-
-
-def _link_state(
-    net: Network,
-    link: Link,
-    p: np.ndarray,
-    bc: BoundaryState,
-    zone_index: dict[str, int],
-    externals: dict[str, ExternalNode],
-) -> tuple[int | None, int | None, float, float, float]:
-    """(from column, to column, dp, rho_from, rho_to) at the link elevation."""
-    col_f, off_f, rho_f = _endpoint(net, link.from_node, link.elevation_m, bc, zone_index, externals)
-    col_t, off_t, rho_t = _endpoint(net, link.to_node, link.elevation_m, bc, zone_index, externals)
-    p_f = off_f + (p[col_f] if col_f is not None else 0.0)
-    p_t = off_t + (p[col_t] if col_t is not None else 0.0)
-    return col_f, col_t, p_f - p_t, rho_f, rho_t
+    for link in net.links:
+        node_f, node_t = nodes[link.from_node], nodes[link.to_node]
+        _, p_f = _endpoint(node_f, link.elevation_m, p)
+        _, p_t = _endpoint(node_t, link.elevation_m, p)
+        yield link, node_f[0], node_t[0], p_f - p_t, node_f[1], node_t[1]
 
 
 def _model_flow(link: Link, dp: float, rho_f: float, rho_t: float, dp_lin: float) -> TwoWayFlow:
@@ -207,11 +186,8 @@ def residual(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> np.ndarray:
     """Net mass inflow per zone (kg/s), in network zone order."""
-    zone_index = net.zone_index()
-    externals = net.external_map()
     f = np.array([z.mech_flow_kg_s for z in net.zones], dtype=float)
-    for link in net.links:
-        col_f, col_t, dp, rho_f, rho_t = _link_state(net, link, p, bc, zone_index, externals)
+    for link, col_f, col_t, dp, rho_f, rho_t in _link_pass(net, p, _node_table(net, bc)):
         flow = _model_flow(link, dp, rho_f, rho_t, dp_lin).net
         if col_f is not None:
             f[col_f] -= flow
@@ -224,12 +200,9 @@ def jacobian(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> np.ndarray:
     """Derivative of the residual with respect to the zone pressures."""
-    zone_index = net.zone_index()
-    externals = net.external_map()
     n = len(net.zones)
     jac = np.zeros((n, n))
-    for link in net.links:
-        col_f, col_t, dp, rho_f, rho_t = _link_state(net, link, p, bc, zone_index, externals)
+    for link, col_f, col_t, dp, rho_f, rho_t in _link_pass(net, p, _node_table(net, bc)):
         d = _model_derivative(link, dp, rho_f, rho_t, dp_lin)
         if d == 0.0:
             continue
@@ -248,11 +221,8 @@ def link_flows(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> dict[str, LinkFlow]:
     """Per-link resolved flows at the given pressures."""
-    zone_index = net.zone_index()
-    externals = net.external_map()
     out: dict[str, LinkFlow] = {}
-    for link in net.links:
-        _, _, dp, rho_f, rho_t = _link_state(net, link, p, bc, zone_index, externals)
+    for link, _, _, dp, rho_f, rho_t in _link_pass(net, p, _node_table(net, bc)):
         two_way = _model_flow(link, dp, rho_f, rho_t, dp_lin)
         out[link.id] = LinkFlow(
             link_id=link.id,
@@ -279,19 +249,16 @@ def picard_system(
     Raises ReciprocalFlowError when any large opening currently carries
     two-way flow: the single-conductance picture cannot represent it.
     """
-    zone_index = net.zone_index()
-    externals = net.external_map()
+    nodes = _node_table(net, bc)
     n = len(net.zones)
     matrix = np.zeros((n, n))
     rhs = np.array([-z.mech_flow_kg_s for z in net.zones], dtype=float)
 
-    for link in net.links:
+    for link, col_f, col_t, dp, rho_f, rho_t in _link_pass(net, p, nodes):
         model = link.model
         if isinstance(model, Fan):
             # Constant flow out of `from` and into `to`; as a constant it is
             # negated onto the right-hand side with the row sign.
-            col_f = zone_index.get(link.from_node)
-            col_t = zone_index.get(link.to_node)
             if col_f is not None:
                 rhs[col_f] += model.flow_kg_s
             if col_t is not None:
@@ -299,34 +266,20 @@ def picard_system(
             continue
 
         if isinstance(model, LargeOpening):
-            col_f, col_t, dp_bottom, rho_f, rho_t = _link_state(
-                net, link, p, bc, zone_index, externals
-            )
             current = large_opening_flow(
-                model.width_m, model.height_m, model.cd, rho_f, rho_t, dp_bottom, dp_lin
+                model.width_m, model.height_m, model.cd, rho_f, rho_t, dp, dp_lin
             )
             if current.bidirectional:
                 raise ReciprocalFlowError(link.id)
-            z_mid = link.elevation_m + 0.5 * model.height_m
-            col_f, off_f, rho_f = _endpoint(net, link.from_node, z_mid, bc, zone_index, externals)
-            col_t, off_t, rho_t = _endpoint(net, link.to_node, z_mid, bc, zone_index, externals)
-            dp_mid = (off_f + (p[col_f] if col_f is not None else 0.0)) - (
-                off_t + (p[col_t] if col_t is not None else 0.0)
-            )
+            z = link.elevation_m + 0.5 * model.height_m
             rho_mean = 0.5 * (rho_f + rho_t)
-            k_eq = model.cd * model.width_m * model.height_m * np.sqrt(2.0 * rho_mean)
-            conductance = crack_conductance(k_eq, 0.5, dp_mid, dp_lin)
+            k = model.cd * model.width_m * model.height_m * np.sqrt(2.0 * rho_mean)
+            exponent = 0.5
         else:
-            col_f, off_f, _ = _endpoint(
-                net, link.from_node, link.elevation_m, bc, zone_index, externals
-            )
-            col_t, off_t, _ = _endpoint(
-                net, link.to_node, link.elevation_m, bc, zone_index, externals
-            )
-            dp = (off_f + (p[col_f] if col_f is not None else 0.0)) - (
-                off_t + (p[col_t] if col_t is not None else 0.0)
-            )
-            conductance = crack_conductance(model.k, model.n, dp, dp_lin)
+            z, k, exponent = link.elevation_m, model.k, model.n
+        off_f, p_f = _endpoint(nodes[link.from_node], z, p)
+        off_t, p_t = _endpoint(nodes[link.to_node], z, p)
+        conductance = crack_conductance(k, exponent, p_f - p_t, dp_lin)
 
         # Row contribution for flow G * ((p_f + off_f) - (p_t + off_t)), with
         # sign +1 into the `to` zone, -1 out of the `from` zone.

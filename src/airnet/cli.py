@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 domain failure (invalid network, non-convergence),
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import os
@@ -20,7 +22,6 @@ from .network import (
     NetworkFormatError,
     NetworkValidationError,
     load_network,
-    validate,
 )
 from .scenario import (
     WeatherFormatError,
@@ -56,6 +57,12 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _csv_text(rows: list[list]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _load_network_or_exit(path: str):
@@ -123,11 +130,6 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
     except NetworkValidationError as exc:
         for violation in exc.violations:
-            print(violation)
-        return EXIT_DOMAIN
-    violations = validate(net)
-    if violations:
-        for violation in violations:
             print(violation)
         return EXIT_DOMAIN
     print(f"OK: {len(net.zones)} zones, {len(net.external_nodes)} external nodes, {len(net.links)} links")
@@ -220,33 +222,41 @@ def cmd_compare(args) -> int:
     prefix = Path(args.out)
 
     # Long format: one row per timestep per strategy.
-    lines = ["timestamp,strategy,picard_iters,newton_iters,converged_in_picard,picard_aborted,max_residual_kg_s,failed"]
+    long_rows = [
+        [
+            "timestamp",
+            "strategy",
+            "picard_iters",
+            "newton_iters",
+            "converged_in_picard",
+            "picard_aborted",
+            "max_residual_kg_s",
+            "failed",
+        ]
+    ]
     for strategy in strategies:
         for rec in all_records[strategy]:
-            lines.append(
-                ",".join(
-                    [
-                        rec.timestamp,
-                        rec.strategy,
-                        str(rec.picard_iters),
-                        str(rec.newton_iters),
-                        "true" if rec.converged_in_picard else "false",
-                        rec.picard_aborted or "",
-                        f"{rec.max_residual:.9g}",
-                        rec.failed or "",
-                    ]
-                )
+            long_rows.append(
+                [
+                    rec.timestamp,
+                    rec.strategy,
+                    rec.picard_iters,
+                    rec.newton_iters,
+                    "true" if rec.converged_in_picard else "false",
+                    rec.picard_aborted or "",
+                    f"{rec.max_residual:.9g}",
+                    rec.failed or "",
+                ]
             )
-    _atomic_write(prefix.with_name(prefix.name + "_iterations.csv"), "\n".join(lines) + "\n")
+    _atomic_write(prefix.with_name(prefix.name + "_iterations.csv"), _csv_text(long_rows))
 
     # Wide format: timestep rows, one Newton-iteration column per strategy.
-    wide = ["timestamp," + ",".join(f"newton_iters_{s.lower()}" for s in strategies)]
+    wide_rows = [["timestamp"] + [f"newton_iters_{s.lower()}" for s in strategies]]
     for i, rec in enumerate(weather):
-        row = [rec.timestamp]
-        for strategy in strategies:
-            row.append(str(all_records[strategy][i].newton_iters))
-        wide.append(",".join(row))
-    _atomic_write(prefix.with_name(prefix.name + "_wide.csv"), "\n".join(wide) + "\n")
+        wide_rows.append(
+            [rec.timestamp] + [all_records[strategy][i].newton_iters for strategy in strategies]
+        )
+    _atomic_write(prefix.with_name(prefix.name + "_wide.csv"), _csv_text(wide_rows))
 
     summaries = {
         strategy: asdict(summarize(records)[strategy])

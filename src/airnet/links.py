@@ -19,7 +19,6 @@ from dataclasses import dataclass
 __all__ = [
     "GRAVITY",
     "DP_LIN_DEFAULT",
-    "AirState",
     "TwoWayFlow",
     "air_density",
     "crack_flow",
@@ -27,7 +26,6 @@ __all__ = [
     "crack_conductance",
     "large_opening_flow",
     "large_opening_derivative",
-    "fan_flow",
 ]
 
 GRAVITY = 9.81  # m/s2
@@ -52,18 +50,6 @@ def air_density(temperature_k: float) -> float:
     if temperature_k <= 0:
         raise ValueError(f"temperature must be > 0 K, got {temperature_k}")
     return _DENSITY_NUMERATOR / temperature_k
-
-
-@dataclass(frozen=True)
-class AirState:
-    """Temperature and the density it implies at the fixed reference pressure."""
-
-    temperature_k: float
-    density: float
-
-    @classmethod
-    def at(cls, temperature_k: float) -> "AirState":
-        return cls(temperature_k, air_density(temperature_k))
 
 
 @dataclass(frozen=True)
@@ -228,12 +214,3 @@ def large_opening_derivative(
     rho_up = rho_from if (p_bot >= 0.0 and p_top >= 0.0) else rho_to
     denom = math.sqrt(max(abs(p_bot), dp_lin)) + math.sqrt(max(abs(p_top), dp_lin))
     return unit * math.sqrt(2.0 * rho_up) * height / denom
-
-
-# ---------------------------------------------------------------------------
-# fans
-
-
-def fan_flow(flow: float) -> tuple[float, float]:
-    """Fixed flow and its (zero) pressure derivative."""
-    return flow, 0.0

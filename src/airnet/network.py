@@ -140,12 +140,6 @@ class Network:
     external_nodes: tuple[ExternalNode, ...] = field(default=())
     links: tuple[Link, ...] = field(default=())
 
-    def zone_index(self) -> dict[str, int]:
-        return {z.id: i for i, z in enumerate(self.zones)}
-
-    def external_map(self) -> dict[str, ExternalNode]:
-        return {n.id: n for n in self.external_nodes}
-
 
 # ---------------------------------------------------------------------------
 # validation

@@ -226,36 +226,20 @@ def run_simulation(
         p0 = previous if (warm_start and previous is not None) else zeros
         try:
             outcome = solve(net, bc, p0, strategy, cfg)
-        except NonConvergenceError as exc:
+        except (NonConvergenceError, SingularJacobianError) as exc:
             log.warning("%s %s: %s", strategy, rec.timestamp, exc)
+            singular = isinstance(exc, SingularJacobianError)
             records.append(
                 TimestepRecord(
                     timestamp=rec.timestamp,
                     strategy=strategy.upper(),
                     picard_iters=0,
-                    newton_iters=exc.iterations,
+                    newton_iters=exc.iteration if singular else exc.iterations,
                     converged_in_picard=False,
                     picard_aborted=None,
-                    max_residual=exc.max_residual,
+                    max_residual=math.inf if singular else exc.max_residual,
                     pressures=tuple(float(v) for v in exc.pressures),
-                    failed="non-convergence",
-                )
-            )
-            previous = None
-            continue
-        except SingularJacobianError as exc:
-            log.warning("%s %s: %s", strategy, rec.timestamp, exc)
-            records.append(
-                TimestepRecord(
-                    timestamp=rec.timestamp,
-                    strategy=strategy.upper(),
-                    picard_iters=0,
-                    newton_iters=exc.iteration,
-                    converged_in_picard=False,
-                    picard_aborted=None,
-                    max_residual=math.inf,
-                    pressures=tuple(float(v) for v in exc.pressures),
-                    failed="singular-jacobian",
+                    failed="singular-jacobian" if singular else "non-convergence",
                 )
             )
             previous = None

@@ -38,7 +38,6 @@ __all__ = [
     "NonConvergenceError",
     "SingularJacobianError",
     "solve",
-    "solve_newton",
     "picard_init",
     "walton_relaxation",
 ]
@@ -135,10 +134,12 @@ class PicardResult(NamedTuple):
     iters_used: int
     converged: bool
     aborted: str | None  # None | "singular" | "reciprocal-flow"
+    residual: np.ndarray  # at `pressures`
 
 
-def _max_residual(net: Network, p: np.ndarray, bc: BoundaryState, cfg: SolverConfig) -> float:
-    return float(np.max(np.abs(residual(net, p, bc, cfg.dp_lin))))
+def _converged(f: np.ndarray, cfg: SolverConfig) -> bool:
+    # Written so that a NaN residual counts as not converged.
+    return float(np.max(np.abs(f))) <= cfg.tolerance
 
 
 def walton_relaxation(
@@ -169,16 +170,20 @@ def _newton(
     net: Network,
     bc: BoundaryState,
     p0: np.ndarray,
+    f0: np.ndarray,
     cfg: SolverConfig,
     relax_mode: str,
     strategy_label: str,
-) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration; returns (pressures, linear solves used)."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Damped Newton iteration from p0, whose residual is f0.
+
+    Returns (pressures, their residual, linear solves used).
+    """
     p = np.array(p0, dtype=float)
-    f = residual(net, p, bc, cfg.dp_lin)
+    f = f0
     correction_prev: np.ndarray | None = None
     iters = 0
-    while float(np.max(np.abs(f))) > cfg.tolerance:
+    while not _converged(f, cfg):
         if iters >= cfg.max_newton_iters:
             raise NonConvergenceError(strategy_label, iters, p, float(np.max(np.abs(f))))
         jac = jacobian(net, p, bc, cfg.dp_lin)
@@ -194,7 +199,7 @@ def _newton(
         correction_prev = correction
         iters += 1
         f = residual(net, p, bc, cfg.dp_lin)
-    return p, iters
+    return p, f, iters
 
 
 def picard_init(
@@ -208,50 +213,28 @@ def picard_init(
     truncated to +-trunc_dp_max.  Returns early as converged when the
     residual meets the tolerance (checked on entry and after every update),
     or aborted when the frozen matrix is singular or a large opening is in
-    reciprocal flow; the last accepted iterate is kept either way.
+    reciprocal flow; the last accepted iterate and its residual are kept
+    either way.
     """
     p = np.array(p0, dtype=float)
-    if _max_residual(net, p, bc, cfg) <= cfg.tolerance:
-        return PicardResult(p, 0, True, None)
+    f = residual(net, p, bc, cfg.dp_lin)
+    if _converged(f, cfg):
+        return PicardResult(p, 0, True, None, f)
     for k in range(cfg.picard_iters):
         try:
             system = picard_system(net, p, bc, cfg.dp_lin)
         except ReciprocalFlowError:
-            return PicardResult(p, k, False, ABORT_RECIPROCAL)
+            return PicardResult(p, k, False, ABORT_RECIPROCAL, f)
         report = lu_solve(system.matrix, system.rhs)
         if report.singular:
-            return PicardResult(p, k, False, ABORT_SINGULAR)
+            return PicardResult(p, k, False, ABORT_SINGULAR, f)
         step = (1.0 - cfg.accel) * (report.solution - p)
         np.clip(step, -cfg.trunc_dp_max, cfg.trunc_dp_max, out=step)
         p = p + step
-        if _max_residual(net, p, bc, cfg) <= cfg.tolerance:
-            return PicardResult(p, k + 1, True, None)
-    return PicardResult(p, cfg.picard_iters, False, None)
-
-
-def solve_newton(
-    net: Network,
-    bc: BoundaryState,
-    p0: np.ndarray | None,
-    cfg: SolverConfig,
-    relax_mode: str = "fixed",
-) -> SolveOutcome:
-    """Solve with Newton only; relax_mode is 'fixed' or 'walton'."""
-    if relax_mode not in ("fixed", "walton"):
-        raise ValueError(f"relax_mode must be 'fixed' or 'walton', got '{relax_mode}'")
-    strategy = "NR" if relax_mode == "fixed" else "WM"
-    start = np.zeros(len(net.zones)) if p0 is None else np.asarray(p0, dtype=float)
-    p, iters = _newton(net, bc, start, cfg, relax_mode, strategy)
-    return SolveOutcome(
-        strategy=strategy,
-        pressures=p,
-        link_flows=link_flows(net, p, bc, cfg.dp_lin),
-        newton_iters=iters,
-        picard_iters_used=0,
-        converged_in_picard=False,
-        picard_aborted=None,
-        max_residual=_max_residual(net, p, bc, cfg),
-    )
+        f = residual(net, p, bc, cfg.dp_lin)
+        if _converged(f, cfg):
+            return PicardResult(p, k + 1, True, None, f)
+    return PicardResult(p, cfg.picard_iters, False, None, f)
 
 
 def solve(
@@ -272,23 +255,23 @@ def solve(
     name = strategy.upper()
     if name not in STRATEGIES:
         raise ValueError(f"unknown strategy '{strategy}' (expected one of {STRATEGIES})")
-    start = np.zeros(len(net.zones)) if p0 is None else np.asarray(p0, dtype=float)
+    p = np.zeros(len(net.zones)) if p0 is None else np.asarray(p0, dtype=float)
 
     picard_used = 0
     converged_in_picard = False
     aborted = None
     if name in ("PNR", "PWM"):
-        pic = picard_init(net, bc, start, cfg)
+        pic = picard_init(net, bc, p, cfg)
         picard_used = pic.iters_used
         converged_in_picard = pic.converged
         aborted = pic.aborted
-        start = pic.pressures
-
-    if converged_in_picard:
-        p, newton_iters = start, 0
+        p, f = pic.pressures, pic.residual
     else:
-        mode = "fixed" if name in ("NR", "PNR") else "walton"
-        p, newton_iters = _newton(net, bc, start, cfg, mode, name)
+        f = residual(net, p, bc, cfg.dp_lin)
+
+    # From a start Picard has converged, this takes no iteration.
+    mode = "fixed" if name in ("NR", "PNR") else "walton"
+    p, f, newton_iters = _newton(net, bc, p, f, cfg, mode, name)
 
     return SolveOutcome(
         strategy=name,
@@ -298,5 +281,5 @@ def solve(
         picard_iters_used=picard_used,
         converged_in_picard=converged_in_picard,
         picard_aborted=aborted,
-        max_residual=_max_residual(net, p, bc, cfg),
+        max_residual=float(np.max(np.abs(f))),
     )

@@ -69,11 +69,16 @@ def oracle_opening_quadrature(width, height, cd, rho_from, rho_to, dp_bottom):
     return fwd, rev
 
 
-def oracle_link_flow(net: an.Network, link: an.Link, p, bc: an.BoundaryState) -> float:
-    """Signed link flow recomputed from the documented model definitions."""
+def oracle_link_dp(net: an.Network, link: an.Link, p, bc: an.BoundaryState):
+    """(pressure difference from minus to at the link elevation, rho_from, rho_to)."""
     p_from, rho_from = oracle_node_pressure(net, bc, link.from_node, link.elevation_m, p)
     p_to, rho_to = oracle_node_pressure(net, bc, link.to_node, link.elevation_m, p)
-    dp = p_from - p_to
+    return p_from - p_to, rho_from, rho_to
+
+
+def oracle_link_flow(net: an.Network, link: an.Link, p, bc: an.BoundaryState) -> float:
+    """Signed link flow recomputed from the documented model definitions."""
+    dp, rho_from, rho_to = oracle_link_dp(net, link, p, bc)
     model = link.model
     if isinstance(model, an.Crack):
         if abs(dp) < DP_LIN:

@@ -37,13 +37,6 @@ def test_air_density_domain_error():
         an.air_density(-10.0)
 
 
-def test_air_state_carries_consistent_density():
-    state = an.AirState.at(295.0)
-    assert state.temperature_k == 295.0
-    assert state.density == pytest.approx(353.05 / 295.0)
-    assert state.density > 0
-
-
 # ---------------------------------------------------------------------------
 # cracks
 
@@ -247,13 +240,3 @@ def test_opening_derivative_matches_finite_difference():
         assert analytic == pytest.approx(fd, rel=1e-5)
         assert analytic > 0
         checked += 1
-
-
-# ---------------------------------------------------------------------------
-# fans
-
-
-def test_fan_flow_constant():
-    assert an.fan_flow(0.05) == (0.05, 0.0)
-    assert an.fan_flow(0.0) == (0.0, 0.0)
-    assert an.fan_flow(-0.02)[1] == 0.0

@@ -1,6 +1,7 @@
 """Weather ingestion, simulation driver, and summaries."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -140,6 +141,24 @@ def test_failures_are_recorded_and_run_continues():
     assert len(records) == len(weather)
     assert all(rec.failed == "non-convergence" for rec in records)
     assert all(rec.newton_iters == 3 for rec in records)
+
+
+def test_singular_step_is_recorded_and_run_continues():
+    net = an.Network(  # built directly: validation would reject the isolated zone
+        zones=(an.Zone("a", 293.0, 0.0), an.Zone("island", 293.0, 0.0)),
+        external_nodes=(an.ExternalNode("out", 0.0, (0.5,) * 8),),
+        links=(an.Link("c", "out", "a", 0.0, an.Crack(0.01, 0.6)),),
+    )
+    weather = constant_weather(2)
+    records = an.run_simulation(net, weather, "nr", an.SolverConfig())
+    assert len(records) == 2
+    for rec, wrec in zip(records, weather):
+        assert rec.failed == "singular-jacobian"
+        assert rec.max_residual == math.inf
+        assert (rec.timestamp, rec.strategy) == (wrec.timestamp, "NR")
+        assert (rec.picard_iters, rec.newton_iters, rec.converged_in_picard) == (0, 0, False)
+        assert rec.picard_aborted is None
+        assert rec.pressures == (0.0, 0.0)
 
 
 def test_empty_weather_rejected():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import airnet as an
+from airnet import solvers
+from airnet.scenario import boundary_from_record
 from airnet.solvers import walton_relaxation
 from helpers import random_boundary, random_crack_network
 
@@ -53,7 +55,7 @@ def test_symmetric_zone_settles_at_midpoint():
 
 
 def test_walton_converges_in_one_iteration_on_linear_network():
-    out = an.solve_newton(linear_chain(), BC10, None, an.SolverConfig(), relax_mode="walton")
+    out = an.solve(linear_chain(), BC10, None, "WM", an.SolverConfig())
     assert out.newton_iters == 1
     assert np.allclose(out.pressures, [20.0 / 3.0, 10.0 / 3.0], atol=1e-9)
 
@@ -62,8 +64,8 @@ def test_fixed_and_walton_agree_but_fixed_needs_more_iterations():
     net = an.load_network(an.bundled_example_path("dwelling5"))
     bc = an.BoundaryState(4.0, 120.0, 297.15)
     cfg = an.SolverConfig(tolerance=1e-10, max_newton_iters=3000)
-    fixed = an.solve_newton(net, bc, None, cfg, relax_mode="fixed")
-    walton = an.solve_newton(net, bc, None, cfg, relax_mode="walton")
+    fixed = an.solve(net, bc, None, "NR", cfg)
+    walton = an.solve(net, bc, None, "WM", cfg)
     assert np.max(np.abs(fixed.pressures - walton.pressures)) < 1e-6
     assert fixed.newton_iters > walton.newton_iters
     assert fixed.strategy == "NR" and walton.strategy == "WM"
@@ -98,11 +100,23 @@ def test_singular_jacobian_raised_for_isolated_zone():
         an.solve(net, bc, None, "NR", an.SolverConfig())
 
 
-def test_invalid_strategy_and_relax_mode():
+@pytest.mark.parametrize("strategy", an.STRATEGIES)
+def test_nan_residual_is_not_convergence(strategy):
+    net = an.Network(  # built directly: a NaN reference height makes the residual NaN
+        zones=(an.Zone("room", 282.44, math.nan),),
+        external_nodes=(uniform_cp_node("hi", 0.64), uniform_cp_node("lo", 0.0)),
+        links=(
+            an.Link("in", "hi", "room", 0.0, an.Crack(0.01, 0.65)),
+            an.Link("out", "room", "lo", 0.0, an.Crack(0.01, 0.65)),
+        ),
+    )
+    with pytest.raises((an.NonConvergenceError, an.SingularJacobianError)):
+        an.solve(net, BC10, None, strategy, an.SolverConfig())
+
+
+def test_invalid_strategy():
     with pytest.raises(ValueError):
         an.solve(symmetric_zone(), BC10, None, "XX", an.SolverConfig())
-    with pytest.raises(ValueError):
-        an.solve_newton(symmetric_zone(), BC10, None, an.SolverConfig(), relax_mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +254,39 @@ def test_outcome_residual_matches_fresh_recomputation():
             assert out.max_residual <= 1e-3
 
 
+@pytest.mark.parametrize("strategy", an.STRATEGIES)
+def test_one_residual_per_iterate(monkeypatch, strategy):
+    # The start, every Picard update and every Newton step each get exactly
+    # one residual evaluation, and the reported flows one link_flows call.
+    calls = {"residual": 0, "link_flows": 0}
+
+    def counted(name):
+        original = getattr(solvers, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solvers, name, counted(name))
+    net = an.load_network(an.bundled_example_path("dwelling5"))
+    p = None
+    for rec in an.generate_weather(days=1, step_minutes=30, seed=42):
+        calls.update(residual=0, link_flows=0)
+        out = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig())
+        assert calls["residual"] == 1 + out.picard_iters_used + out.newton_iters
+        assert calls["link_flows"] == 1
+        p = out.pressures
+
+
 def test_picard_alone_solves_majority_of_cold_starts_on_crack_fixture():
     # Sampled boundary conditions from the synthetic series, all from p0 = 0:
     # the initializer should finish within its 10-iteration budget most of
     # the time on the crack-only dwelling.
     net = an.load_network(an.bundled_example_path("dwelling5_cracks"))
     weather = an.generate_weather(days=10, step_minutes=30, seed=42)
-    from airnet.scenario import boundary_from_record
-
     converged = 0
     sampled = weather[::10]
     for rec in sampled:
