@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .links import (
     large_opening_derivative,
     large_opening_flow,
 )
-from .network import Crack, ExternalNode, Fan, LargeOpening, Link, Network
+from .network import Crack, ExternalNode, Fan, LargeOpening, Network
 
 __all__ = [
     "BoundaryState",
@@ -116,66 +117,189 @@ def boundary_pressure(node: ExternalNode, bc: BoundaryState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the link pass
+# the compiled network
 
-# Each node resolves once per call to (zone column or None, density, reference
-# height, wind pressure).  Its pressure at elevation z is the constant offset
-# wind - rho * g * (z - ref), plus p[column] for a zone (whose wind term is 0).
-_Node = tuple[int | None, float, float, float]
+# Node i < n is zone i; node n + j is external node j.  A link end's pressure
+# at elevation z is the offset wind - rho * g * (z - ref), plus p[column] for a
+# zone end; an external end's column is the padding column n, which holds 0.0.
+_PADDING = np.zeros(1)
 
-
-def _node_table(net: Network, bc: BoundaryState) -> dict[str, _Node]:
-    table: dict[str, _Node] = {
-        z.id: (i, air_density(z.temperature_k), z.ref_height_m, 0.0)
-        for i, z in enumerate(net.zones)
-    }
-    rho_out = air_density(bc.outdoor_temp_k)
-    for node in net.external_nodes:
-        table[node.id] = (None, rho_out, node.ref_height_m, boundary_pressure(node, bc))
-    return table
+# Signs of a coupled link's value v in its matrix entries (f,f), (f,t), (t,f),
+# (t,t), and in the balances of its from and to zones.
+_ENTRY_SIGNS = (-1.0, 1.0, 1.0, -1.0)
+_ROW_SIGNS = (-1.0, 1.0)
 
 
-def _endpoint(node: _Node, z: float, p: np.ndarray) -> tuple[float, float]:
-    """(constant offset, pressure) of a node at elevation z."""
-    column, rho, ref, wind = node
-    offset = wind - rho * GRAVITY * (z - ref)
-    return offset, offset + (p[column] if column is not None else 0.0)
+class _Boundary(NamedTuple):
+    """The boundary-dependent terms of a compiled network's coupled links."""
+
+    bc: BoundaryState
+    off_f: np.ndarray  # end offsets at each link's elevation
+    off_t: np.ndarray
+    opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per opening
+    mid_off_f: np.ndarray  # end offsets where the Picard system takes dp
+    mid_off_t: np.ndarray
+    mid_doff: np.ndarray  # mid_off_f - mid_off_t
+    mid_k: np.ndarray  # Picard flow coefficient
 
 
-def _link_pass(net: Network, p: np.ndarray, nodes: dict[str, _Node]):
-    """Yield (link, col_f, col_t, dp, rho_f, rho_t) for every link.
+class _CompiledNetwork:
+    """Index and parameter arrays of one network.
 
-    dp is the pressure difference (from minus to) at the link elevation; for a
-    large opening that is its bottom edge, the dp_bottom of the opening law.
+    Links sit in slots grouped by type: cracks, then large openings, then
+    fans, each group in link order.  Cracks and openings couple their two end
+    pressures; fans do not.  Every zone balance and matrix entry is one
+    np.bincount whose terms are gathered back into link order, `from` end
+    before `to` end, so each sum is added up in the same order, with the same
+    rounding, as a loop over the links would give it.
     """
-    for link in net.links:
-        node_f, node_t = nodes[link.from_node], nodes[link.to_node]
-        _, p_f = _endpoint(node_f, link.elevation_m, p)
-        _, p_t = _endpoint(node_t, link.elevation_m, p)
-        yield link, node_f[0], node_t[0], p_f - p_t, node_f[1], node_t[1]
 
-
-def _model_flow(link: Link, dp: float, rho_f: float, rho_t: float, dp_lin: float) -> TwoWayFlow:
-    model = link.model
-    if isinstance(model, Crack):
-        flow = crack_flow(model.k, model.n, dp, dp_lin)
-        return TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None)
-    if isinstance(model, LargeOpening):
-        return large_opening_flow(
-            model.width_m, model.height_m, model.cd, rho_f, rho_t, dp, dp_lin
+    def __init__(self, net: Network):
+        n = len(net.zones)
+        self.n = n
+        self.externals = net.external_nodes
+        self.zone_rho = np.array([air_density(z.temperature_k) for z in net.zones])
+        self.node_ref = np.array(
+            [z.ref_height_m for z in net.zones] + [e.ref_height_m for e in net.external_nodes]
         )
-    return TwoWayFlow(max(model.flow_kg_s, 0.0), max(-model.flow_kg_s, 0.0), None)
+        self.mech = np.array([z.mech_flow_kg_s for z in net.zones], dtype=float)
+        self.neg_mech = -self.mech
 
+        def of_type(kind) -> list[int]:
+            return [i for i, link in enumerate(net.links) if isinstance(link.model, kind)]
 
-def _model_derivative(link: Link, dp: float, rho_f: float, rho_t: float, dp_lin: float) -> float:
-    model = link.model
-    if isinstance(model, Crack):
-        return crack_derivative(model.k, model.n, dp, dp_lin)
-    if isinstance(model, LargeOpening):
-        return large_opening_derivative(
-            model.width_m, model.height_m, model.cd, rho_f, rho_t, dp, dp_lin
+        cracks, openings, fans = of_type(Crack), of_type(LargeOpening), of_type(Fan)
+        slotted = [net.links[i] for i in cracks + openings + fans]
+        self.ids = [link.id for link in net.links]
+        self.n_cracks = len(cracks)
+        coupled = len(cracks) + len(openings)
+
+        node = {z.id: i for i, z in enumerate(net.zones)}
+        node.update({e.id: n + j for j, e in enumerate(net.external_nodes)})
+        node_f = np.array([node[link.from_node] for link in slotted], dtype=np.intp)
+        node_t = np.array([node[link.to_node] for link in slotted], dtype=np.intp)
+        col_f, col_t = np.minimum(node_f, n), np.minimum(node_t, n)
+        self.node_f, self.node_t = node_f[:coupled], node_t[:coupled]
+        self.col_f, self.col_t = col_f[:coupled], col_t[:coupled]
+        self.elevation = np.array([link.elevation_m for link in slotted[:coupled]], dtype=float)
+
+        models = [link.model for link in slotted]
+        self.crack_k = np.array([m.k for m in models[: len(cracks)]], dtype=float)
+        self.crack_n = np.array([m.n for m in models[: len(cracks)]], dtype=float)
+        self.opening_ids = [link.id for link in slotted[len(cracks) : coupled]]
+        self.opening_params = [(m.width_m, m.height_m, m.cd) for m in models[len(cracks) : coupled]]
+        self.fan_flow = np.array([m.flow_kg_s for m in models[coupled:]], dtype=float)
+        self.neg_fan_flow = -self.fan_flow
+
+        # Picard takes an opening as one orifice at its mid-height.
+        self.mid_z = self.elevation + np.array(
+            [0.0] * len(cracks) + [0.5 * h for _, h, _ in self.opening_params]
         )
-    return 0.0
+        self.mid_n = np.concatenate((self.crack_n, np.full(len(openings), 0.5)))
+        self.opening_cwh = np.array([cd * w * h for w, h, cd in self.opening_params], dtype=float)
+
+        # Zone balances: the n base values, then each link's from and to terms
+        # in link order, each gathered from n + the link's slot.
+        slot_of = np.empty(len(slotted), dtype=np.intp)
+        slot_of[cracks + openings + fans] = np.arange(len(slotted))
+        self.slot_of = slot_of.tolist()
+        self.row_index = np.concatenate(
+            (np.arange(n), np.column_stack((col_f[slot_of], col_t[slot_of])).ravel())
+        )
+        self.row_gather = np.concatenate((np.arange(n), np.repeat(n + slot_of, 2)))
+        self.row_sign = np.concatenate((np.ones(n), np.tile(_ROW_SIGNS, len(slotted))))
+
+        # Matrix entries of each coupled link, in link order, in the flattened
+        # n x n matrix; an entry with an external end goes to the spare slot n * n.
+        coupled_slots = slot_of[slot_of < coupled]
+        f, t = col_f[coupled_slots], col_t[coupled_slots]
+        rows = np.column_stack((f, f, t, t)).ravel()
+        cols = np.column_stack((f, t, f, t)).ravel()
+        self.entry_index = np.where((rows < n) & (cols < n), rows * n + cols, n * n)
+        self.entry_gather = np.repeat(coupled_slots, 4)
+        self.entry_sign = np.tile(_ENTRY_SIGNS, coupled)
+        self._last: _Boundary | None = None
+
+    def boundary(self, bc: BoundaryState) -> _Boundary:
+        """Boundary terms for bc, kept until a call brings another bc."""
+        last = self._last
+        if last is not None and last.bc is bc:
+            return last
+        rho_out = air_density(bc.outdoor_temp_k)
+        wind = np.concatenate(
+            (np.zeros(self.n), [boundary_pressure(e, bc) for e in self.externals])
+        )
+        rho = np.concatenate((self.zone_rho, np.full(len(self.externals), rho_out)))
+        rho_f, rho_t = rho[self.node_f], rho[self.node_t]
+
+        def offset(node, rho_end, z):
+            return wind[node] - rho_end * GRAVITY * (z - self.node_ref[node])
+
+        nc = self.n_cracks
+        rho_mean = 0.5 * (rho_f[nc:] + rho_t[nc:])
+        mid_off_f = offset(self.node_f, rho_f, self.mid_z)
+        mid_off_t = offset(self.node_t, rho_t, self.mid_z)
+        last = self._last = _Boundary(
+            bc=bc,
+            off_f=offset(self.node_f, rho_f, self.elevation),
+            off_t=offset(self.node_t, rho_t, self.elevation),
+            opening_args=[
+                (*params, rho_from, rho_to)
+                for params, rho_from, rho_to in zip(
+                    self.opening_params, rho_f[nc:].tolist(), rho_t[nc:].tolist()
+                )
+            ],
+            mid_off_f=mid_off_f,
+            mid_off_t=mid_off_t,
+            mid_doff=mid_off_f - mid_off_t,
+            mid_k=np.concatenate((self.crack_k, self.opening_cwh * np.sqrt(2.0 * rho_mean))),
+        )
+        return last
+
+    def rows(self, base, *values) -> np.ndarray:
+        """base per zone, minus each link's value in its from zone and plus it
+        in its to zone; `values` hold the link values in slot order."""
+        terms = np.concatenate((base, *values)).take(self.row_gather) * self.row_sign
+        return np.bincount(self.row_index, terms, minlength=self.n + 1)[: self.n]
+
+    def matrix(self, *values) -> np.ndarray:
+        """n x n matrix coupling the ends of each coupled link with its value v:
+        -v on both diagonal entries, +v on both off-diagonal ones."""
+        n = self.n
+        terms = np.concatenate(values).take(self.entry_gather) * self.entry_sign
+        return np.bincount(self.entry_index, terms, minlength=n * n + 1)[: n * n].reshape(n, n)
+
+    def dp(self, off_f: np.ndarray, off_t: np.ndarray, p) -> np.ndarray:
+        """Pressure difference (from minus to) over each coupled link at the
+        heights the offsets were taken."""
+        pz = np.concatenate((p, _PADDING))
+        if len(pz) != self.n + 1:
+            raise ValueError(f"{len(pz) - 1} pressures given for {self.n} zones")
+        return (off_f + pz.take(self.col_f)) - (off_t + pz.take(self.col_t))
+
+    def opening_inputs(self, b: _Boundary, dp: np.ndarray):
+        """(opening law arguments before dp_bottom, dp_bottom) per opening."""
+        return zip(b.opening_args, dp[self.n_cracks :].tolist())
+
+
+def _compiled(net: Network) -> _CompiledNetwork:
+    """The network's compiled form, built on first use and kept on the
+    instance: a Network is immutable, so it never goes stale."""
+    try:
+        return net.__dict__["_compiled"]
+    except KeyError:
+        compiled = net.__dict__["_compiled"] = _CompiledNetwork(net)
+        return compiled
+
+
+def _flows(net: Network, p, bc: BoundaryState, dp_lin: float):
+    """(compiled network, crack flows, TwoWayFlow of each opening)."""
+    c = _compiled(net)
+    b = c.boundary(bc)
+    dp = c.dp(b.off_f, b.off_t, p)
+    cracks = crack_flow(c.crack_k, c.crack_n, dp[: c.n_cracks], dp_lin)
+    openings = [large_opening_flow(*args, d, dp_lin) for args, d in c.opening_inputs(b, dp)]
+    return c, cracks, openings
 
 
 # ---------------------------------------------------------------------------
@@ -186,52 +310,44 @@ def residual(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> np.ndarray:
     """Net mass inflow per zone (kg/s), in network zone order."""
-    f = np.array([z.mech_flow_kg_s for z in net.zones], dtype=float)
-    for link, col_f, col_t, dp, rho_f, rho_t in _link_pass(net, p, _node_table(net, bc)):
-        flow = _model_flow(link, dp, rho_f, rho_t, dp_lin).net
-        if col_f is not None:
-            f[col_f] -= flow
-        if col_t is not None:
-            f[col_t] += flow
-    return f
+    c, cracks, openings = _flows(net, p, bc, dp_lin)
+    return c.rows(c.mech, cracks, [two_way.net for two_way in openings], c.fan_flow)
 
 
 def jacobian(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> np.ndarray:
     """Derivative of the residual with respect to the zone pressures."""
-    n = len(net.zones)
-    jac = np.zeros((n, n))
-    for link, col_f, col_t, dp, rho_f, rho_t in _link_pass(net, p, _node_table(net, bc)):
-        d = _model_derivative(link, dp, rho_f, rho_t, dp_lin)
-        if d == 0.0:
-            continue
-        if col_f is not None:
-            jac[col_f, col_f] -= d
-            if col_t is not None:
-                jac[col_f, col_t] += d
-        if col_t is not None:
-            jac[col_t, col_t] -= d
-            if col_f is not None:
-                jac[col_t, col_f] += d
-    return jac
+    c = _compiled(net)
+    b = c.boundary(bc)
+    dp = c.dp(b.off_f, b.off_t, p)
+    cracks = crack_derivative(c.crack_k, c.crack_n, dp[: c.n_cracks], dp_lin)
+    openings = [
+        large_opening_derivative(*args, d, dp_lin) for args, d in c.opening_inputs(b, dp)
+    ]
+    return c.matrix(cracks, openings)
 
 
 def link_flows(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> dict[str, LinkFlow]:
     """Per-link resolved flows at the given pressures."""
-    out: dict[str, LinkFlow] = {}
-    for link, _, _, dp, rho_f, rho_t in _link_pass(net, p, _node_table(net, bc)):
-        two_way = _model_flow(link, dp, rho_f, rho_t, dp_lin)
-        out[link.id] = LinkFlow(
-            link_id=link.id,
+    c, cracks, openings = _flows(net, p, bc, dp_lin)
+
+    def one_way(flows: np.ndarray) -> list[TwoWayFlow]:
+        return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows.tolist()]
+
+    slotted = one_way(cracks) + openings + one_way(c.fan_flow)
+    return {
+        link_id: LinkFlow(
+            link_id=link_id,
             flow=two_way.net,
             flow_forward=two_way.flow_forward,
             flow_reverse=two_way.flow_reverse,
             neutral_height=two_way.neutral_height,
         )
-    return out
+        for link_id, two_way in zip(c.ids, [slotted[slot] for slot in c.slot_of])
+    }
 
 
 def picard_system(
@@ -249,47 +365,18 @@ def picard_system(
     Raises ReciprocalFlowError when any large opening currently carries
     two-way flow: the single-conductance picture cannot represent it.
     """
-    nodes = _node_table(net, bc)
-    n = len(net.zones)
-    matrix = np.zeros((n, n))
-    rhs = np.array([-z.mech_flow_kg_s for z in net.zones], dtype=float)
-
-    for link, col_f, col_t, dp, rho_f, rho_t in _link_pass(net, p, nodes):
-        model = link.model
-        if isinstance(model, Fan):
-            # Constant flow out of `from` and into `to`; as a constant it is
-            # negated onto the right-hand side with the row sign.
-            if col_f is not None:
-                rhs[col_f] += model.flow_kg_s
-            if col_t is not None:
-                rhs[col_t] -= model.flow_kg_s
-            continue
-
-        if isinstance(model, LargeOpening):
-            current = large_opening_flow(
-                model.width_m, model.height_m, model.cd, rho_f, rho_t, dp, dp_lin
-            )
-            if current.bidirectional:
-                raise ReciprocalFlowError(link.id)
-            z = link.elevation_m + 0.5 * model.height_m
-            rho_mean = 0.5 * (rho_f + rho_t)
-            k = model.cd * model.width_m * model.height_m * np.sqrt(2.0 * rho_mean)
-            exponent = 0.5
-        else:
-            z, k, exponent = link.elevation_m, model.k, model.n
-        off_f, p_f = _endpoint(nodes[link.from_node], z, p)
-        off_t, p_t = _endpoint(nodes[link.to_node], z, p)
-        conductance = crack_conductance(k, exponent, p_f - p_t, dp_lin)
-
-        # Row contribution for flow G * ((p_f + off_f) - (p_t + off_t)), with
-        # sign +1 into the `to` zone, -1 out of the `from` zone.
-        const = conductance * (off_f - off_t)
-        for row, sign in ((col_f, -1.0), (col_t, +1.0)):
-            if row is None:
-                continue
-            if col_f is not None:
-                matrix[row, col_f] += sign * conductance
-            if col_t is not None:
-                matrix[row, col_t] -= sign * conductance
-            rhs[row] -= sign * const
-    return LinearSystem(matrix=matrix, rhs=rhs)
+    c = _compiled(net)
+    b = c.boundary(bc)
+    if c.opening_ids:
+        openings = c.opening_inputs(b, c.dp(b.off_f, b.off_t, p))
+        for link_id, (args, d) in zip(c.opening_ids, openings):
+            if large_opening_flow(*args, d, dp_lin).bidirectional:
+                raise ReciprocalFlowError(link_id)
+    conductance = crack_conductance(b.mid_k, c.mid_n, c.dp(b.mid_off_f, b.mid_off_t, p), dp_lin)
+    # A coupled link's flow is G * ((p_f + off_f) - (p_t + off_t)); its constant
+    # part G * (off_f - off_t), like a fan's flow, moves to the right-hand side
+    # with the opposite sign.
+    return LinearSystem(
+        matrix=c.matrix(conductance),
+        rhs=c.rows(c.neg_mech, -(conductance * b.mid_doff), c.neg_fan_flow),
+    )

@@ -110,6 +110,11 @@ def _boundary_from(args) -> BoundaryState:
     )
 
 
+def _usage_error(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-3, help="mass-balance tolerance, kg/s")
     parser.add_argument("--max-iter", type=int, default=500, help="Newton iteration budget")
@@ -140,8 +145,10 @@ def cmd_solve(args) -> int:
     net, code = _load_network_or_exit(args.network)
     if net is None:
         return code
-    cfg = _config_from(args)
-    bc = _boundary_from(args)
+    try:
+        cfg, bc = _config_from(args), _boundary_from(args)
+    except ValueError as exc:
+        return _usage_error(exc)
     try:
         outcome = solve(net, bc, None, args.strategy, cfg)
     except (NonConvergenceError, SingularJacobianError) as exc:
@@ -188,7 +195,10 @@ def cmd_simulate(args) -> int:
     weather, code = _load_weather_or_exit(args.weather)
     if weather is None:
         return code
-    cfg = _config_from(args)
+    try:
+        cfg = _config_from(args)
+    except ValueError as exc:
+        return _usage_error(exc)
     records = run_simulation(net, weather, args.strategy, cfg, warm_start=not args.no_warm_start)
     _atomic_write(Path(args.out), write_timestep_csv(records, net))
     failures = sum(1 for r in records if r.failed is not None)
@@ -210,7 +220,10 @@ def cmd_compare(args) -> int:
     weather, code = _load_weather_or_exit(args.weather)
     if weather is None:
         return code
-    cfg = _config_from(args)
+    try:
+        cfg = _config_from(args)
+    except ValueError as exc:
+        return _usage_error(exc)
 
     all_records = {}
     for strategy in strategies:

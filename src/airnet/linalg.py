@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 __all__ = ["SolveReport", "lu_solve", "PIVOT_THRESHOLD"]
 
@@ -24,11 +24,13 @@ class SolveReport:
 
 
 def lu_solve(matrix, rhs) -> SolveReport:
-    """Solve matrix @ x = rhs by LU with partial pivoting.
+    """Solve matrix @ x = rhs by LU with partial pivoting (LAPACK dgetrf and
+    dgetrs, the routines behind scipy.linalg.lu_factor and lu_solve).
 
     Returns a report instead of raising: `singular` is set when any pivot
     magnitude falls below PIVOT_THRESHOLD times the largest initial entry
-    (or the matrix is all zeros), and then no solution is present.
+    (or the matrix is all zeros or not finite), and then no solution is
+    present.  A non-finite rhs gives a non-finite solution.
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -37,17 +39,14 @@ def lu_solve(matrix, rhs) -> SolveReport:
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
 
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale == 0.0 or not np.isfinite(scale):
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    if scale == 0.0 or not math.isfinite(scale):
         return SolveReport(None, True, 0.0)
 
-    with warnings.catch_warnings():
-        # lu_factor warns on an exactly-zero pivot; the pivot check below
-        # is the real decision point.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    ratio = float(np.min(np.abs(np.diag(lu))) / scale)
+    # An exactly-zero pivot (info > 0) is caught by the pivot check below.
+    lu, piv, _ = dgetrf(a)
+    ratio = float(np.abs(lu.diagonal()).min()) / scale
     if ratio < PIVOT_THRESHOLD:
         return SolveReport(None, True, ratio)
-    x = scipy.linalg.lu_solve((lu, piv), b)
+    x, _ = dgetrs(lu, piv, b)
     return SolveReport(x, False, ratio)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "GRAVITY",
     "DP_LIN_DEFAULT",
@@ -79,32 +81,55 @@ class TwoWayFlow:
 # cracks (power-law small openings)
 
 
-def crack_flow(k: float, n: float, dp: float, dp_lin: float = DP_LIN_DEFAULT) -> float:
+def _pow(base: np.ndarray, exponent) -> np.ndarray:
+    """Elementwise base ** exponent through the C library's pow, as the scalar
+    laws compute it; np.power may round differently in the last bit."""
+    if not (isinstance(exponent, np.ndarray) and exponent.shape == base.shape):
+        exponent = np.broadcast_to(exponent, base.shape)
+    powers = map(pow, base.ravel().tolist(), exponent.ravel().tolist())
+    return np.fromiter(powers, float, base.size).reshape(base.shape)
+
+
+# The three crack laws take floats, or arrays of k, n and dp (one element per
+# crack); an array result is rounded exactly as the float form would be.
+
+
+def crack_flow(k, n, dp, dp_lin: float = DP_LIN_DEFAULT):
     """Signed power-law flow k * |dP|**n, linearized below dp_lin.
 
     Odd in dP; continuous at the linearization breakpoint.
     """
+    if isinstance(dp, np.ndarray):
+        mag = np.abs(dp)
+        lin = mag < dp_lin
+        kp = k * _pow(np.maximum(mag, dp_lin), np.where(lin, n - 1.0, n))
+        return np.where(lin, kp * dp, np.copysign(kp, dp))
     mag = abs(dp)
     if mag < dp_lin:
         return k * dp_lin ** (n - 1.0) * dp
     return math.copysign(k * mag**n, dp)
 
 
-def crack_derivative(k: float, n: float, dp: float, dp_lin: float = DP_LIN_DEFAULT) -> float:
+def crack_derivative(k, n, dp, dp_lin: float = DP_LIN_DEFAULT):
     """Exact derivative of crack_flow with respect to dP; always > 0."""
+    if isinstance(dp, np.ndarray):
+        mag = np.abs(dp)
+        return np.where(mag < dp_lin, k, n * k) * _pow(np.maximum(mag, dp_lin), n - 1.0)
     mag = abs(dp)
     if mag < dp_lin:
         return k * dp_lin ** (n - 1.0)
     return n * k * mag ** (n - 1.0)
 
 
-def crack_conductance(k: float, n: float, dp: float, dp_lin: float = DP_LIN_DEFAULT) -> float:
+def crack_conductance(k, n, dp, dp_lin: float = DP_LIN_DEFAULT):
     """Linearized conductance G = k * max(|dP|, dp_lin)**(n-1).
 
     Satisfies G * dP == crack_flow(dP) for every dP (exactly, including the
     linearized region), which is what makes the fixed-point system consistent
     with the residual for crack-only networks.
     """
+    if isinstance(dp, np.ndarray):
+        return k * _pow(np.maximum(np.abs(dp), dp_lin), n - 1.0)
     return k * max(abs(dp), dp_lin) ** (n - 1.0)
 
 

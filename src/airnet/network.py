@@ -37,6 +37,7 @@ openings `elevation_m` is the bottom edge of the opening.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -149,12 +150,18 @@ def validate(net: Network) -> list[str]:
     """Return every invariant violation (empty list means the network is valid).
 
     Checks performed: duplicate ids, unknown or self-referencing link
-    endpoints, parameter ranges for each link model, positive temperatures,
-    well-formed cp tables, and reachability of every zone from some external
-    node through the link graph (an unreachable zone has an undetermined
-    pressure).
+    endpoints, finite heights and flows, parameter ranges for each link model,
+    positive temperatures, well-formed cp tables, and reachability of every
+    zone from some external node through the link graph (an unreachable zone
+    has an undetermined pressure).
     """
     violations: list[str] = []
+
+    def require_finite(owner: str, obj, *fields: str) -> None:
+        for name in fields:
+            value = getattr(obj, name)
+            if not math.isfinite(value):
+                violations.append(f"{owner}: {name} must be finite, got {value}")
 
     if not net.zones:
         violations.append("network has no zones")
@@ -166,12 +173,14 @@ def validate(net: Network) -> list[str]:
         seen.add(node_id)
 
     for zone in net.zones:
-        if not zone.temperature_k > 0:
+        if not 0 < zone.temperature_k < math.inf:
             violations.append(
-                f"zone '{zone.id}': temperature must be > 0 K, got {zone.temperature_k}"
+                f"zone '{zone.id}': temperature must be finite and > 0 K, got {zone.temperature_k}"
             )
+        require_finite(f"zone '{zone.id}'", zone, "ref_height_m", "mech_flow_kg_s")
 
     for node in net.external_nodes:
+        require_finite(f"external node '{node.id}'", node, "ref_height_m")
         if len(node.cp) != 8:
             violations.append(
                 f"external node '{node.id}': cp table must have 8 entries, got {len(node.cp)}"
@@ -194,23 +203,32 @@ def validate(net: Network) -> list[str]:
         for end in (link.from_node, link.to_node):
             if end not in node_ids:
                 violations.append(f"link '{link.id}': unknown endpoint '{end}'")
+        require_finite(f"link '{link.id}'", link, "elevation_m")
         model = link.model
         if isinstance(model, Crack):
-            if not model.k > 0:
-                violations.append(f"link '{link.id}': crack coefficient must be > 0, got {model.k}")
+            if not 0 < model.k < math.inf:
+                violations.append(
+                    f"link '{link.id}': crack coefficient k must be finite and > 0, got {model.k}"
+                )
             if not 0.5 <= model.n <= 1.0:
                 violations.append(
                     f"link '{link.id}': crack exponent out of range [0.5, 1], got {model.n}"
                 )
         elif isinstance(model, LargeOpening):
-            if not model.width_m > 0:
-                violations.append(f"link '{link.id}': opening width must be > 0")
-            if not model.height_m > 0:
-                violations.append(f"link '{link.id}': opening height must be > 0")
+            if not 0 < model.width_m < math.inf:
+                violations.append(
+                    f"link '{link.id}': opening width_m must be finite and > 0, got {model.width_m}"
+                )
+            if not 0 < model.height_m < math.inf:
+                violations.append(
+                    f"link '{link.id}': opening height_m must be finite and > 0, got {model.height_m}"
+                )
             if not 0 < model.cd <= 1:
                 violations.append(
                     f"link '{link.id}': discharge coefficient out of range (0, 1], got {model.cd}"
                 )
+        elif isinstance(model, Fan):
+            require_finite(f"link '{link.id}'", model, "flow_kg_s")
 
     # Reachability: BFS over the undirected link graph from all external nodes.
     adjacency: dict[str, set[str]] = {}
@@ -270,13 +288,26 @@ def _parse_model(obj: dict, context: str) -> LinkModel:
     raise NetworkFormatError(f"{context}: unknown model type '{kind}'")
 
 
+def _reject_constant(name: str):
+    raise NetworkFormatError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise NetworkFormatError(f"number {text} is out of range")
+    return value
+
+
 def parse_network(text: str) -> Network:
     """Parse a network document; raise on syntax, schema, or invariant errors.
 
     The returned network always passes :func:`validate`.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(
+            text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -123,6 +123,8 @@ def parse_weather(text: str) -> list[WeatherRecord]:
             speed, direction, temp = (float(v) for v in row[1:])
         except ValueError:
             raise WeatherFormatError(f"line {line_no}: non-numeric field in {row[1:]}") from None
+        if not all(map(math.isfinite, (speed, direction, temp))):
+            raise WeatherFormatError(f"line {line_no}: non-finite field in {row[1:]}")
         if speed < 0:
             raise WeatherFormatError(f"line {line_no}: negative wind speed {speed}")
         if previous is not None:

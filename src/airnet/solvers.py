@@ -13,6 +13,7 @@ reported so callers can account the Picard budget either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,6 +99,9 @@ class SolverConfig:
     relax_clamp: tuple[float, float] = (0.1, 1.0)
 
     def __post_init__(self):
+        for name in ("tolerance", "trunc_dp_max", "dp_lin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if not 0 < self.fixed_relax <= 1:
@@ -139,7 +143,7 @@ class PicardResult(NamedTuple):
 
 def _converged(f: np.ndarray, cfg: SolverConfig) -> bool:
     # Written so that a NaN residual counts as not converged.
-    return float(np.max(np.abs(f))) <= cfg.tolerance
+    return float(np.abs(f).max()) <= cfg.tolerance
 
 
 def walton_relaxation(

@@ -8,6 +8,7 @@ they can cross-check the library without sharing its code paths.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -159,3 +160,90 @@ def random_boundary(rng: np.random.Generator) -> an.BoundaryState:
         wind_direction_deg=float(rng.uniform(0, 360)),
         outdoor_temp_k=float(rng.uniform(285, 305)),
     )
+
+
+class LoopAssembly(NamedTuple):
+    residual: np.ndarray
+    jacobian: np.ndarray
+    picard: tuple[np.ndarray, np.ndarray] | str  # (matrix, rhs), or a reciprocal link id
+    flows: dict[str, an.TwoWayFlow]
+
+
+def loop_assembly(net: an.Network, p, bc: an.BoundaryState, dp_lin: float = DP_LIN) -> LoopAssembly:
+    """Residual, Jacobian, Picard system and link flows from one loop over the
+    links in link order, each sum taking its `from` term before its `to`
+    term, with the package's scalar flow laws.  The package assembles the same
+    terms in array form and must reproduce these arrays bit for bit."""
+    nodes = {
+        z.id: (i, an.air_density(z.temperature_k), z.ref_height_m, 0.0)
+        for i, z in enumerate(net.zones)
+    }
+    rho_out = an.air_density(bc.outdoor_temp_k)
+    for node in net.external_nodes:
+        nodes[node.id] = (None, rho_out, node.ref_height_m, an.boundary_pressure(node, bc))
+
+    def end(node, z):
+        """(offset, pressure) of a node at elevation z."""
+        column, rho, ref, wind = node
+        offset = wind - rho * an.GRAVITY * (z - ref)
+        return offset, offset + (p[column] if column is not None else 0.0)
+
+    n = len(net.zones)
+    f = np.array([z.mech_flow_kg_s for z in net.zones], dtype=float)
+    jac = np.zeros((n, n))
+    matrix = np.zeros((n, n))
+    rhs = -f
+    reciprocal = None
+    flows = {}
+    for link in net.links:
+        node_f, node_t = nodes[link.from_node], nodes[link.to_node]
+        (col_f, rho_f, _, _), (col_t, rho_t, _, _) = node_f, node_t
+        dp = end(node_f, link.elevation_m)[1] - end(node_t, link.elevation_m)[1]
+        model = link.model
+        if isinstance(model, an.Fan):
+            flow = an.TwoWayFlow(max(model.flow_kg_s, 0.0), max(-model.flow_kg_s, 0.0))
+            d = 0.0
+        elif isinstance(model, an.Crack):
+            net_flow = an.crack_flow(model.k, model.n, dp, dp_lin)
+            flow = an.TwoWayFlow(max(net_flow, 0.0), max(-net_flow, 0.0))
+            d = an.crack_derivative(model.k, model.n, dp, dp_lin)
+            z, k, exponent = link.elevation_m, model.k, model.n
+        else:
+            args = (model.width_m, model.height_m, model.cd, rho_f, rho_t, dp, dp_lin)
+            flow = an.large_opening_flow(*args)
+            d = an.large_opening_derivative(*args)
+            if flow.bidirectional and reciprocal is None:
+                reciprocal = link.id
+            z = link.elevation_m + 0.5 * model.height_m
+            rho_mean = 0.5 * (rho_f + rho_t)
+            k = model.cd * model.width_m * model.height_m * math.sqrt(2.0 * rho_mean)
+            exponent = 0.5
+        flows[link.id] = flow
+
+        for row, sign in ((col_f, -1.0), (col_t, 1.0)):
+            if row is not None:
+                f[row] += sign * flow.net
+        entries = ((col_f, col_f, -1.0), (col_f, col_t, 1.0), (col_t, col_t, -1.0), (col_t, col_f, 1.0))
+        for row, col, sign in entries:
+            if row is not None and col is not None:
+                jac[row, col] += sign * d
+
+        if isinstance(model, an.Fan):
+            for row, sign in ((col_f, 1.0), (col_t, -1.0)):
+                if row is not None:
+                    rhs[row] += sign * model.flow_kg_s
+            continue
+        off_f, p_f = end(node_f, z)
+        off_t, p_t = end(node_t, z)
+        conductance = an.crack_conductance(k, exponent, p_f - p_t, dp_lin)
+        const = conductance * (off_f - off_t)
+        for row, sign in ((col_f, -1.0), (col_t, 1.0)):
+            if row is None:
+                continue
+            if col_f is not None:
+                matrix[row, col_f] += sign * conductance
+            if col_t is not None:
+                matrix[row, col_t] -= sign * conductance
+            rhs[row] -= sign * const
+    picard = reciprocal if reciprocal is not None else (matrix, rhs)
+    return LoopAssembly(f, jac, picard, flows)

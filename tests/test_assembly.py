@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import airnet as an
-from helpers import oracle_link_dp, oracle_residual, random_boundary, random_crack_network
+from helpers import (
+    loop_assembly,
+    oracle_link_dp,
+    oracle_residual,
+    random_boundary,
+    random_crack_network,
+)
 
 G = 9.81
 
@@ -330,3 +336,179 @@ def test_picard_fixed_point_matches_newton_root():
         report = an.lu_solve(system.matrix, system.rhs)
         assert not report.singular
         assert np.max(np.abs(report.solution - solution)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# mixed networks and the compiled form
+
+
+def mixed_network(with_door=True):
+    """Cracks, a stratified door, a fan and a mechanical extract, with links
+    both into and out of zones at the facade, and types interleaved in link
+    order."""
+    links = [
+        an.Link("na", "n", "a", 0.4, an.Crack(0.008, 0.65)),
+        an.Link("door", "a", "b", 0.0, an.LargeOpening(0.9, 2.1)),
+        an.Link("bs", "b", "s", 2.0, an.Crack(0.005, 0.6)),
+        an.Link("fan", "s", "c", 3.5, an.Fan(0.003)),
+        an.Link("bc", "b", "c", 2.6, an.Crack(0.004, 0.7)),
+        an.Link("cn", "c", "n", 5.0, an.Crack(0.006, 0.55)),
+        an.Link("ac", "a", "c", 2.8, an.Crack(0.002, 0.8)),
+    ]
+    if not with_door:
+        links = [l for l in links if l.id != "door"]
+    net = an.Network(
+        zones=(
+            an.Zone("a", 296.0, 1.2, mech_flow_kg_s=-0.004),
+            an.Zone("b", 288.0, 1.2),
+            an.Zone("c", 292.0, 4.0),
+        ),
+        external_nodes=(
+            an.ExternalNode("n", 0.5, (0.6, 0.4, -0.2, -0.5, -0.6, -0.5, -0.2, 0.4)),
+            an.ExternalNode("s", 3.0, (-0.5, -0.2, 0.4, 0.6, 0.4, -0.2, -0.5, -0.6)),
+        ),
+        links=tuple(links),
+    )
+    assert an.validate(net) == []
+    return net
+
+
+def door_edges(net, p, bc):
+    """Pressure difference at the bottom and top edge of the door."""
+    door = next(l for l in net.links if l.id == "door")
+    dp, rho_from, rho_to = oracle_link_dp(net, door, p, bc)
+    return dp, dp - G * (rho_from - rho_to) * door.model.height_m
+
+
+def test_mixed_network_residual_matches_independent_oracle():
+    net = mixed_network()
+    rng = np.random.default_rng(5)
+    two_way = 0
+    for _ in range(30):
+        bc = random_boundary(rng)
+        p = rng.uniform(-8, 8, len(net.zones))
+        ours = an.residual(net, p, bc)
+        assert np.allclose(ours, oracle_residual(net, p, bc), rtol=1e-7, atol=1e-12)
+        bottom, top = door_edges(net, p, bc)
+        two_way += bottom * top < 0
+    assert two_way > 0  # the two-way branch of the door law was exercised
+
+
+def test_mixed_network_jacobian_matches_finite_difference():
+    net = mixed_network()
+    rng = np.random.default_rng(6)
+    checked = 0
+    while checked < 30:
+        bc = random_boundary(rng)
+        p = rng.uniform(-8, 8, len(net.zones))
+        # keep clear of linearization bands and floored opening edges
+        if any(abs(oracle_link_dp(net, l, p, bc)[0]) < 5e-3 for l in net.links):
+            continue
+        if min(abs(edge) for edge in door_edges(net, p, bc)) < 5e-3:
+            continue
+        jac = an.jacobian(net, p, bc)
+        step = 1e-6
+        for j in range(len(p)):
+            offset = np.zeros_like(p)
+            offset[j] = step
+            fd = (an.residual(net, p + offset, bc) - an.residual(net, p - offset, bc)) / (2 * step)
+            scale = np.maximum(np.abs(fd), 1e-8)
+            assert np.all(np.abs(jac[:, j] - fd) / scale < 1e-5)
+        checked += 1
+
+
+def test_mixed_network_picard_fixed_point_matches_newton_root():
+    # Without the door the network is cracks, a fan and a mechanical flow:
+    # constants on the right-hand side, so the Newton root is a fixed point.
+    net = mixed_network(with_door=False)
+    rng = np.random.default_rng(7)
+    cfg = an.SolverConfig(tolerance=1e-11, max_newton_iters=4000)
+    for _ in range(10):
+        bc = random_boundary(rng)
+        solution = an.solve(net, bc, None, "WM", cfg).pressures
+        system = an.picard_system(net, solution, bc)
+        report = an.lu_solve(system.matrix, system.rhs)
+        assert not report.singular
+        assert np.max(np.abs(report.solution - solution)) < 1e-6
+
+
+def assembled(net, p, bc):
+    """Every assembly output at one state, as bytes, for exact comparison."""
+    out = [an.residual(net, p, bc).tobytes(), an.jacobian(net, p, bc).tobytes()]
+    try:
+        system = an.picard_system(net, p, bc)
+        out += [system.matrix.tobytes(), system.rhs.tobytes()]
+    except an.ReciprocalFlowError as err:
+        out.append(err.link_id)
+    out.append(list(an.link_flows(net, p, bc).values()))
+    return out
+
+
+def test_compiled_form_is_reused_without_going_stale():
+    # One network object alternates between two boundaries, and two networks
+    # are solved in turn; every answer equals the one a freshly parsed
+    # network gives, bit for bit.
+    texts = [
+        an.serialize_network(mixed_network()),
+        an.bundled_example_path("dwelling5").read_text(),
+    ]
+    shared = [an.parse_network(text) for text in texts]
+    boundaries = [an.BoundaryState(4.0, 80.0, 280.0), an.BoundaryState(1.5, 250.0, 300.0)]
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        for bc in boundaries:
+            for net, text in zip(shared, texts):
+                fresh = an.parse_network(text)
+                p = rng.uniform(-5, 5, len(net.zones))
+                assert assembled(net, p, bc) == assembled(fresh, p, bc)
+                # an equal but distinct boundary object gives the same answers
+                copy = an.BoundaryState(bc.wind_speed, bc.wind_direction_deg, bc.outdoor_temp_k)
+                assert assembled(net, p, copy) == assembled(fresh, p, bc)
+                for strategy in an.STRATEGIES:
+                    ours = an.solve(net, bc, None, strategy)
+                    theirs = an.solve(fresh, bc, None, strategy)
+                    assert ours.pressures.tobytes() == theirs.pressures.tobytes()
+                    assert ours.link_flows == theirs.link_flows
+                    assert ours.newton_iters == theirs.newton_iters
+
+
+def test_pressure_vector_must_have_one_entry_per_zone():
+    net = mixed_network()
+    bc = an.BoundaryState(2.0, 0.0, 290.0)
+    for p in (np.zeros(2), np.zeros(4)):
+        for assemble in (an.residual, an.jacobian, an.picard_system, an.link_flows):
+            with pytest.raises(ValueError, match="3 zones"):
+                assemble(net, p, bc)
+
+
+@pytest.mark.parametrize("dp_lin", [1e-3, 0.5])
+def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
+    rng = np.random.default_rng(13)
+    nets = [mixed_network(), mixed_network(with_door=False)]
+    nets += [an.load_network(an.bundled_example_path(name)) for name in an.bundled_examples()]
+    nets += [random_crack_network(rng) for _ in range(8)]
+    reciprocal = 0
+    for net in nets:
+        for _ in range(6):
+            bc = random_boundary(rng)
+            p = rng.uniform(-10, 10, len(net.zones)) * rng.choice([1.0, 1e-4])
+            loop = loop_assembly(net, p, bc, dp_lin)
+            assert an.residual(net, p, bc, dp_lin).tobytes() == loop.residual.tobytes()
+            assert an.jacobian(net, p, bc, dp_lin).tobytes() == loop.jacobian.tobytes()
+            if isinstance(loop.picard, str):
+                reciprocal += 1
+                with pytest.raises(an.ReciprocalFlowError) as err:
+                    an.picard_system(net, p, bc, dp_lin)
+                assert err.value.link_id == loop.picard
+            else:
+                system = an.picard_system(net, p, bc, dp_lin)
+                assert system.matrix.tobytes() == loop.picard[0].tobytes()
+                assert system.rhs.tobytes() == loop.picard[1].tobytes()
+            flows = an.link_flows(net, p, bc, dp_lin)
+            assert list(flows) == [link.id for link in net.links]
+            for link_id, flow in flows.items():
+                two_way = loop.flows[link_id]
+                assert (flow.flow, flow.flow_forward, flow.flow_reverse, flow.neutral_height) == (
+                    two_way.net, two_way.flow_forward, two_way.flow_reverse, two_way.neutral_height
+                )
+    assert reciprocal > 0

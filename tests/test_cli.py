@@ -132,6 +132,25 @@ def test_solve_nonconvergence_exit_code_and_diagnostics(capsys):
     assert "pressures" in diagnostics
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--wind-speed", "-1"],
+        ["--wind-speed", "nan"],
+        ["--temp-out-c", "-300"],
+        ["--tol", "inf"],
+        ["--trunc-pa", "nan"],
+        ["--relax", "5"],
+    ],
+)
+def test_solve_bad_input_is_usage_error(capsys, flags):
+    # Each of these used to end in a traceback, or (--tol inf) in "converged".
+    code, out, err = run(capsys, "solve", "--network", TWO_CRACK, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -168,6 +187,18 @@ def test_simulate_empty_weather_is_usage_error(capsys, tmp_path):
     )
     assert code == 2
     assert "empty" in err
+
+
+def test_simulate_non_finite_weather_is_usage_error(capsys, tmp_path):
+    weather = tmp_path / "nan.csv"
+    weather.write_text("timestamp,wind_speed_m_s,wind_dir_deg,temp_out_c\n2024-01-01T00:00:00,nan,90.0,24.0\n")
+    code, _, err = run(
+        capsys,
+        "simulate", "--network", DWELLING, "--weather", str(weather),
+        "--strategy", "wm", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert "line 2" in err
 
 
 def test_simulate_missing_weather_file(capsys, tmp_path):

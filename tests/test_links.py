@@ -119,6 +119,22 @@ def test_crack_derivative_matches_finite_difference():
         checked += 1
 
 
+@pytest.mark.parametrize("law", [an.crack_flow, an.crack_derivative, an.crack_conductance])
+def test_crack_laws_on_arrays_match_the_float_form_exactly(law):
+    rng = np.random.default_rng(9)
+    k = 10 ** rng.uniform(-3, 0, 400)
+    n = rng.uniform(0.5, 1.0, 400)
+    dp = rng.uniform(-60, 60, 400) * rng.choice([1.0, 1e-5, 0.0], 400)
+    for dp_lin in (DP_LIN_DEFAULT, 0.3):
+        values = law(k, n, dp, dp_lin)
+        expected = [law(*args, dp_lin) for args in zip(k.tolist(), n.tolist(), dp.tolist())]
+        assert values.tolist() == expected
+        # one exponent for every crack
+        assert law(k, 0.65, dp, dp_lin).tolist() == [
+            law(a, 0.65, b, dp_lin) for a, b in zip(k.tolist(), dp.tolist())
+        ]
+
+
 # ---------------------------------------------------------------------------
 # large openings
 

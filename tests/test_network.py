@@ -1,6 +1,8 @@
 """Network model: parsing, validation, serialization round-trips."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -148,6 +150,94 @@ def test_validate_bad_opening_parameters():
     violations = an.validate(net)
     assert any("width" in v for v in violations)
     assert any("discharge" in v for v in violations)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_parse_rejects_non_finite_numbers(literal):
+    text = MINIMAL.replace('"elevation_m": 1.0', f'"elevation_m": {literal}')
+    with pytest.raises(an.NetworkFormatError) as err:
+        an.parse_network(text)
+    assert literal in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"elevation_m": 0.0', '"elevation_m": NaN'),
+        ('"ref_height_m": 0.0}', '"ref_height_m": 0.0, "mech_flow_kg_s": Infinity}'),
+    ],
+)
+def test_parse_rejects_non_finite_two_crack_fields(old, new):
+    # Each used to parse, and every strategy then raised SingularJacobianError.
+    doc = an.bundled_example_path("two_crack").read_text()
+    assert old in doc
+    with pytest.raises(an.NetworkFormatError, match="non-finite"):
+        an.parse_network(doc.replace(old, new, 1))
+
+
+def _finite_base():
+    return an.Network(
+        zones=(an.Zone("a", 293.15, 0.0, 0.001),),
+        external_nodes=(an.ExternalNode("out", 0.0, (0.0,) * 8),),
+        links=(
+            an.Link("c", "out", "a", 0.0, an.Crack(0.01, 0.6)),
+            an.Link("o", "out", "a", 0.5, an.LargeOpening(0.8, 2.0)),
+            an.Link("f", "out", "a", 1.0, an.Fan(0.002)),
+        ),
+    )
+
+
+def _with_zone(**changes):
+    net = _finite_base()
+    return dataclasses.replace(net, zones=(dataclasses.replace(net.zones[0], **changes),))
+
+
+def _with_link(index, **changes):
+    net = _finite_base()
+    links = list(net.links)
+    link = links[index]
+    if "elevation_m" in changes:
+        links[index] = dataclasses.replace(link, **changes)
+    else:
+        links[index] = dataclasses.replace(link, model=dataclasses.replace(link.model, **changes))
+    return dataclasses.replace(net, links=tuple(links))
+
+
+@pytest.mark.parametrize(
+    "net, field",
+    [
+        (_with_zone(ref_height_m=math.nan), "ref_height_m"),
+        (_with_zone(mech_flow_kg_s=math.inf), "mech_flow_kg_s"),
+        (_with_zone(temperature_k=math.inf), "temperature"),
+        (
+            dataclasses.replace(
+                _finite_base(), external_nodes=(an.ExternalNode("out", -math.inf, (0.0,) * 8),)
+            ),
+            "ref_height_m",
+        ),
+        (_with_link(0, elevation_m=math.nan), "elevation_m"),
+        (_with_link(0, k=math.inf), "k must be finite"),
+        (_with_link(1, width_m=math.inf), "width_m"),
+        (_with_link(1, height_m=math.inf), "height_m"),
+        (_with_link(2, flow_kg_s=math.nan), "flow_kg_s"),
+    ],
+    ids=[
+        "zone-ref_height_m",
+        "zone-mech_flow_kg_s",
+        "zone-temperature_k",
+        "external-ref_height_m",
+        "link-elevation_m",
+        "crack-k",
+        "opening-width_m",
+        "opening-height_m",
+        "fan-flow_kg_s",
+    ],
+)
+def test_validate_rejects_non_finite_fields(net, field):
+    assert an.validate(_finite_base()) == []
+    violations = an.validate(net)
+    assert len(violations) == 1
+    assert field in violations[0]
 
 
 @pytest.mark.parametrize("name", ["two_crack", "threestorey", "iea_door", "dwelling5", "dwelling5_cracks"])

@@ -46,6 +46,16 @@ def test_parse_rejects_negative_wind_with_line_number():
     assert "line 4" in str(err.value)
 
 
+@pytest.mark.parametrize("fields", ["nan,90.0,22.0", "1.0,inf,22.0", "1.0,90.0,-inf"])
+def test_parse_rejects_non_finite_fields_with_line_number(fields):
+    # `nan < 0` is False, so a NaN wind speed used to pass the range check.
+    bad = TWO_ROWS + f"2024-01-01T01:00:00,{fields}\n"
+    with pytest.raises(an.WeatherFormatError) as err:
+        an.parse_weather(bad)
+    assert "line 4" in str(err.value)
+    assert "non-finite" in str(err.value)
+
+
 def test_parse_rejects_non_monotone_timestamps():
     bad = TWO_ROWS + "2024-01-01T00:30:00,1.0,90.0,22.0\n"
     with pytest.raises(an.WeatherFormatError) as err:

@@ -343,3 +343,12 @@ def test_solver_config_validation():
         an.SolverConfig(trunc_dp_max=-1.0)
     with pytest.raises(ValueError):
         an.SolverConfig(relax_clamp=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["tolerance", "trunc_dp_max", "dp_lin"])
+def test_solver_config_rejects_non_finite(field, value):
+    # `inf > 0` is True, so an infinite tolerance used to pass and declare any
+    # start converged after 0 iterations.
+    with pytest.raises(ValueError, match=field):
+        an.SolverConfig(**{field: value})
