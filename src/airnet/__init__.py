@@ -9,7 +9,6 @@ strategies: fixed-relaxation Newton (NR), Walton-style adaptive relaxation
 from .assembly import (
     BoundaryState,
     LinearSystem,
-    LinkFlow,
     ReciprocalFlowError,
     boundary_pressure,
     jacobian,

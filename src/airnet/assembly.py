@@ -7,7 +7,8 @@ boundary state, this module produces:
   ventilation, which is zero at the solution;
 * the Jacobian J(p) = df/dp for Newton steps;
 * the linear fixed-point system A(p) x = B(p) with conductances frozen at
-  the current iterate, used by the Picard initializer.
+  the current iterate, used by the Picard initializer;
+* the flow through each link, for callers that report flows.
 
 Stack pressures use a constant density per node column between the node's
 reference height and the link elevation.
@@ -37,7 +38,6 @@ from .network import Crack, ExternalNode, Fan, LargeOpening, Network
 __all__ = [
     "BoundaryState",
     "LinearSystem",
-    "LinkFlow",
     "ReciprocalFlowError",
     "boundary_pressure",
     "link_flows",
@@ -84,22 +84,6 @@ class LinearSystem:
 
     matrix: np.ndarray
     rhs: np.ndarray
-
-
-@dataclass(frozen=True)
-class LinkFlow:
-    """Resolved flow through one link at a given state.
-
-    `flow` is the signed net (positive from -> to); the directional
-    components are both populated, and differ from the trivial split only
-    for bidirectional large openings.
-    """
-
-    link_id: str
-    flow: float
-    flow_forward: float
-    flow_reverse: float
-    neutral_height: float | None = None
 
 
 def boundary_pressure(node: ExternalNode, bc: BoundaryState) -> float:
@@ -330,24 +314,20 @@ def jacobian(
 
 def link_flows(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
-) -> dict[str, LinkFlow]:
-    """Per-link resolved flows at the given pressures."""
+) -> dict[str, TwoWayFlow]:
+    """Per-link flows at the given pressures, in link order.
+
+    The signed flow (positive from -> to) is `TwoWayFlow.net`; the two
+    directional components differ from the trivial split only for
+    bidirectional large openings.
+    """
     c, cracks, openings = _flows(net, p, bc, dp_lin)
 
     def one_way(flows: np.ndarray) -> list[TwoWayFlow]:
         return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows.tolist()]
 
     slotted = one_way(cracks) + openings + one_way(c.fan_flow)
-    return {
-        link_id: LinkFlow(
-            link_id=link_id,
-            flow=two_way.net,
-            flow_forward=two_way.flow_forward,
-            flow_reverse=two_way.flow_reverse,
-            neutral_height=two_way.neutral_height,
-        )
-        for link_id, two_way in zip(c.ids, [slotted[slot] for slot in c.slot_of])
-    }
+    return {link_id: slotted[slot] for link_id, slot in zip(c.ids, c.slot_of)}
 
 
 def picard_system(

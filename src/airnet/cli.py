@@ -11,28 +11,33 @@ import csv
 import io
 import json
 import logging
+import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
-from .assembly import BoundaryState
+from .assembly import BoundaryState, link_flows
 from .network import (
     NetworkFormatError,
     NetworkValidationError,
     load_network,
 )
 from .scenario import (
+    TIMESTEP_HEADER,
     WeatherFormatError,
     generate_weather,
     parse_weather,
     run_simulation,
     serialize_weather,
     summarize,
+    timestep_row,
     write_timestep_csv,
 )
 from .solvers import (
+    STRATEGIES,
     NonConvergenceError,
     SingularJacobianError,
     SolverConfig,
@@ -47,10 +52,20 @@ log = logging.getLogger("airnet")
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory, so
+    path never holds half the text; the file gets the mode that
+    open(path, "w") would give it (mkstemp creates 0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        mode = stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -59,13 +74,32 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _json_text(obj) -> str:
+    """obj as indented JSON, with null for each non-finite float (JSON has no NaN)."""
+
+    def finite(value):
+        if isinstance(value, dict):
+            return {key: finite(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    return json.dumps(finite(obj), indent=2, allow_nan=False)
+
+
 def _csv_text(rows: list[list]) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
-def _load_network_or_exit(path: str):
+def _report_invalid(violation: str) -> None:
+    print(f"invalid: {violation}", file=sys.stderr)
+
+
+def _load_network_or_exit(path: str, report=_report_invalid):
+    """(network, EXIT_OK), or (None, exit code) after printing why not;
+    `report` prints each validation violation."""
     try:
         return load_network(path), EXIT_OK
     except FileNotFoundError:
@@ -76,7 +110,7 @@ def _load_network_or_exit(path: str):
         return None, EXIT_USAGE
     except NetworkValidationError as exc:
         for violation in exc.violations:
-            print(f"invalid: {violation}", file=sys.stderr)
+            report(violation)
         return None, EXIT_DOMAIN
 
 
@@ -91,15 +125,21 @@ def _load_weather_or_exit(path: str):
         return None, EXIT_USAGE
 
 
+# (flag, SolverConfig field, help); each flag's type and default are the field's,
+# and argparse stores it under the flag's name ("--max-iter" as args.max_iter).
+_CONFIG_FLAGS = (
+    ("--tol", "tolerance", "mass-balance tolerance, kg/s"),
+    ("--max-iter", "max_newton_iters", "Newton iteration budget"),
+    ("--relax", "fixed_relax", "fixed under-relaxation for NR"),
+    ("--picard-iters", "picard_iters", "Picard initializer budget"),
+    ("--accel", "accel", "Picard damping factor"),
+    ("--trunc-pa", "trunc_dp_max", "Picard update cap, Pa"),
+)
+
+
 def _config_from(args) -> SolverConfig:
-    return SolverConfig(
-        tolerance=args.tol,
-        max_newton_iters=args.max_iter,
-        fixed_relax=args.relax,
-        picard_iters=args.picard_iters,
-        accel=args.accel,
-        trunc_dp_max=args.trunc_pa,
-    )
+    values = vars(args)
+    return SolverConfig(**{f: values[flag[2:].replace("-", "_")] for flag, f, _ in _CONFIG_FLAGS})
 
 
 def _boundary_from(args) -> BoundaryState:
@@ -116,27 +156,15 @@ def _usage_error(exc: ValueError) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-3, help="mass-balance tolerance, kg/s")
-    parser.add_argument("--max-iter", type=int, default=500, help="Newton iteration budget")
-    parser.add_argument("--relax", type=float, default=0.1, help="fixed under-relaxation for NR")
-    parser.add_argument("--picard-iters", type=int, default=10, help="Picard initializer budget")
-    parser.add_argument("--accel", type=float, default=0.5, help="Picard damping factor")
-    parser.add_argument("--trunc-pa", type=float, default=60.0, help="Picard update cap, Pa")
+    for flag, field, help_text in _CONFIG_FLAGS:
+        default = getattr(SolverConfig, field)
+        parser.add_argument(flag, type=type(default), default=default, help=help_text)
 
 
 def cmd_check(args) -> int:
-    try:
-        net = load_network(args.network)
-    except FileNotFoundError:
-        print(f"error: network file not found: {args.network}", file=sys.stderr)
-        return EXIT_USAGE
-    except NetworkFormatError as exc:
-        print(f"error: cannot parse {args.network}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NetworkValidationError as exc:
-        for violation in exc.violations:
-            print(violation)
-        return EXIT_DOMAIN
+    net, code = _load_network_or_exit(args.network, report=print)
+    if net is None:
+        return code
     print(f"OK: {len(net.zones)} zones, {len(net.external_nodes)} external nodes, {len(net.links)} links")
     return EXIT_OK
 
@@ -157,7 +185,7 @@ def cmd_solve(args) -> int:
             "message": str(exc),
             "pressures": {z.id: float(p) for z, p in zip(net.zones, exc.pressures)},
         }
-        print(json.dumps(diagnostics, indent=2), file=sys.stderr)
+        print(_json_text(diagnostics), file=sys.stderr)
         return EXIT_DOMAIN
     result = {
         "network": args.network,
@@ -169,13 +197,13 @@ def cmd_solve(args) -> int:
         },
         "pressures_pa": {z.id: float(p) for z, p in zip(net.zones, outcome.pressures)},
         "link_flows_kg_s": {
-            fl.link_id: {
-                "flow": fl.flow,
+            link_id: {
+                "flow": fl.net,
                 "forward": fl.flow_forward,
                 "reverse": fl.flow_reverse,
                 "neutral_height_m": fl.neutral_height,
             }
-            for fl in outcome.link_flows.values()
+            for link_id, fl in link_flows(net, outcome.pressures, bc, cfg.dp_lin).items()
         },
         "newton_iters": outcome.newton_iters,
         "picard_iters_used": outcome.picard_iters_used,
@@ -184,7 +212,7 @@ def cmd_solve(args) -> int:
         "max_residual_kg_s": outcome.max_residual,
         "config": asdict(cfg),
     }
-    print(json.dumps(result, indent=2))
+    print(_json_text(result))
     return EXIT_OK
 
 
@@ -235,32 +263,11 @@ def cmd_compare(args) -> int:
     prefix = Path(args.out)
 
     # Long format: one row per timestep per strategy.
-    long_rows = [
-        [
-            "timestamp",
-            "strategy",
-            "picard_iters",
-            "newton_iters",
-            "converged_in_picard",
-            "picard_aborted",
-            "max_residual_kg_s",
-            "failed",
-        ]
+    long_rows = [[*TIMESTEP_HEADER, "failed"]] + [
+        timestep_row(rec) + [rec.failed or ""]
+        for strategy in strategies
+        for rec in all_records[strategy]
     ]
-    for strategy in strategies:
-        for rec in all_records[strategy]:
-            long_rows.append(
-                [
-                    rec.timestamp,
-                    rec.strategy,
-                    rec.picard_iters,
-                    rec.newton_iters,
-                    "true" if rec.converged_in_picard else "false",
-                    rec.picard_aborted or "",
-                    f"{rec.max_residual:.9g}",
-                    rec.failed or "",
-                ]
-            )
     _atomic_write(prefix.with_name(prefix.name + "_iterations.csv"), _csv_text(long_rows))
 
     # Wide format: timestep rows, one Newton-iteration column per strategy.
@@ -283,7 +290,7 @@ def cmd_compare(args) -> int:
         "warm_start": not args.no_warm_start,
         "config": asdict(cfg),
     }
-    _atomic_write(prefix.with_name(prefix.name + "_summary.json"), json.dumps(report, indent=2) + "\n")
+    _atomic_write(prefix.with_name(prefix.name + "_summary.json"), _json_text(report) + "\n")
 
     print(f"{'strategy':<10}{'mean newton':>12}{'(+picard)':>12}{'%picard':>10}{'failures':>10}")
     for strategy in strategies:
@@ -311,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multizone building airflow-network solver and strategy benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    strategies = [s.lower() for s in STRATEGIES]
 
     p_check = sub.add_parser("check", help="validate a network file")
     p_check.add_argument("--network", required=True)
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="single steady-state solve")
     p_solve.add_argument("--network", required=True)
-    p_solve.add_argument("--strategy", choices=["nr", "wm", "pnr", "pwm"], default="wm")
+    p_solve.add_argument("--strategy", choices=strategies, default="wm")
     p_solve.add_argument("--wind-speed", type=float, default=0.0, help="m/s")
     p_solve.add_argument("--wind-dir", type=float, default=0.0, help="degrees from north")
     p_solve.add_argument("--temp-out-c", type=float, default=20.0)
@@ -328,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one strategy over a weather series")
     p_sim.add_argument("--network", required=True)
     p_sim.add_argument("--weather", required=True)
-    p_sim.add_argument("--strategy", choices=["nr", "wm", "pnr", "pwm"], default="wm")
+    p_sim.add_argument("--strategy", choices=strategies, default="wm")
     p_sim.add_argument("--out", required=True, help="timestep CSV output path")
     p_sim.add_argument("--no-warm-start", action="store_true")
     _add_config_flags(p_sim)
@@ -340,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--strategies",
         nargs="+",
-        choices=["nr", "wm", "pnr", "pwm"],
-        default=["nr", "wm", "pnr", "pwm"],
+        choices=strategies,
+        default=strategies,
     )
     p_cmp.add_argument("--out", required=True, help="output path prefix")
     p_cmp.add_argument("--no-warm-start", action="store_true")

@@ -33,6 +33,7 @@ from .solvers import (
 
 __all__ = [
     "WEATHER_HEADER",
+    "TIMESTEP_HEADER",
     "WeatherRecord",
     "TimestepRecord",
     "StrategySummary",
@@ -43,6 +44,7 @@ __all__ = [
     "boundary_from_record",
     "run_simulation",
     "summarize",
+    "timestep_row",
     "write_timestep_csv",
 ]
 
@@ -318,33 +320,35 @@ def summarize(records: list[TimestepRecord]) -> dict[str, StrategySummary]:
     return out
 
 
+TIMESTEP_HEADER = (
+    "timestamp",
+    "strategy",
+    "picard_iters",
+    "newton_iters",
+    "converged_in_picard",
+    "picard_aborted",
+    "max_residual_kg_s",
+)
+
+
+def timestep_row(rec: TimestepRecord) -> list:
+    """The TIMESTEP_HEADER fields of one record, formatted for CSV."""
+    return [
+        rec.timestamp,
+        rec.strategy,
+        rec.picard_iters,
+        rec.newton_iters,
+        "true" if rec.converged_in_picard else "false",
+        rec.picard_aborted or "",
+        f"{rec.max_residual:.9g}",
+    ]
+
+
 def write_timestep_csv(records: list[TimestepRecord], net: Network) -> str:
     """Render records in the timestep CSV format (one pressure column per zone)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "timestamp",
-            "strategy",
-            "picard_iters",
-            "newton_iters",
-            "converged_in_picard",
-            "picard_aborted",
-            "max_residual_kg_s",
-        ]
-        + [f"p_{zone.id}" for zone in net.zones]
-    )
+    writer.writerow([*TIMESTEP_HEADER, *(f"p_{zone.id}" for zone in net.zones)])
     for rec in records:
-        writer.writerow(
-            [
-                rec.timestamp,
-                rec.strategy,
-                rec.picard_iters,
-                rec.newton_iters,
-                "true" if rec.converged_in_picard else "false",
-                rec.picard_aborted or "",
-                f"{rec.max_residual:.9g}",
-            ]
-            + [f"{p:.9g}" for p in rec.pressures]
-        )
+        writer.writerow(timestep_row(rec) + [f"{p:.9g}" for p in rec.pressures])
     return out.getvalue()

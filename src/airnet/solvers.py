@@ -21,7 +21,6 @@ import numpy as np
 
 from .assembly import (
     BoundaryState,
-    LinkFlow,
     ReciprocalFlowError,
     jacobian,
     link_flows,
@@ -41,6 +40,8 @@ __all__ = [
     "solve",
     "picard_init",
     "walton_relaxation",
+    # Unused here; kept because perfbench/tracing.py wraps it in this module.
+    "link_flows",
 ]
 
 STRATEGIES = ("NR", "WM", "PNR", "PWM")
@@ -121,11 +122,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Converged state plus iteration accounting for one solve."""
+    """Converged pressures plus iteration accounting for one solve.
+
+    Link flows are not part of it; `link_flows(net, pressures, bc, dp_lin)`
+    derives them on request.
+    """
 
     strategy: str
     pressures: np.ndarray
-    link_flows: dict[str, LinkFlow]
     newton_iters: int
     picard_iters_used: int
     converged_in_picard: bool
@@ -280,7 +284,6 @@ def solve(
     return SolveOutcome(
         strategy=name,
         pressures=p,
-        link_flows=link_flows(net, p, bc, cfg.dp_lin),
         newton_iters=newton_iters,
         picard_iters_used=picard_used,
         converged_in_picard=converged_in_picard,

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -265,3 +267,48 @@ def test_compare_outputs_and_reproducibility(capsys, tmp_path):
     assert wide_header == "timestamp,newton_iters_nr,newton_iters_pnr"
     long_lines = first["iterations.csv"].strip().split("\n")
     assert len(long_lines) == 1 + 2 * 24
+
+
+def test_compare_all_failed_summary_is_strict_json(capsys, tmp_path):
+    # Every step fails, so the iteration means are undefined: the summary must
+    # say null, not the bare NaN token that strict JSON parsers reject.
+    weather = tmp_path / "w.csv"
+    main(["gen-weather", "--days", "1", "--out", str(weather)])
+    code, out, _ = run(
+        capsys,
+        "compare", "--network", DWELLING, "--weather", str(weather),
+        "--strategies", "nr", "wm", "--max-iter", "2", "--out", str(tmp_path / "cmp"),
+    )
+    assert code == 0
+    assert "nan" in out  # the printed table is unchanged
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads((tmp_path / "cmp_summary.json").read_text(), parse_constant=reject)
+    for strategy in ("NR", "WM"):
+        s = summary["strategies"][strategy]
+        assert s["failures"] == 48
+        for key in ("mean_newton_iters", "median_newton_iters",
+                    "mean_iters_with_picard_cost", "mean_picard_iters"):
+            assert s[key] is None
+
+
+def test_output_files_get_the_mode_open_would_give(capsys, tmp_path):
+    # A new file gets 0666 less the umask (the temporary file it is renamed
+    # from is created 0600); a file written over keeps its mode.
+    old_umask = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.csv"
+        main(["gen-weather", "--days", "1", "--out", str(fresh)])
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        os.umask(0o077)
+        kept = tmp_path / "kept.csv"
+        kept.write_text("")
+        kept.chmod(0o640)
+        main(["gen-weather", "--days", "1", "--out", str(kept)])
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert an.parse_weather(kept.read_text())
+    finally:
+        os.umask(old_umask)
+    capsys.readouterr()

@@ -257,7 +257,7 @@ def test_outcome_residual_matches_fresh_recomputation():
 @pytest.mark.parametrize("strategy", an.STRATEGIES)
 def test_one_residual_per_iterate(monkeypatch, strategy):
     # The start, every Picard update and every Newton step each get exactly
-    # one residual evaluation, and the reported flows one link_flows call.
+    # one residual evaluation, and a solve evaluates no link flows.
     calls = {"residual": 0, "link_flows": 0}
 
     def counted(name):
@@ -277,7 +277,7 @@ def test_one_residual_per_iterate(monkeypatch, strategy):
         calls.update(residual=0, link_flows=0)
         out = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig())
         assert calls["residual"] == 1 + out.picard_iters_used + out.newton_iters
-        assert calls["link_flows"] == 1
+        assert calls["link_flows"] == 0
         p = out.pressures
 
 
@@ -327,9 +327,10 @@ def test_outcome_link_flows_cover_every_link():
     net = an.load_network(an.bundled_example_path("dwelling5"))
     bc = an.BoundaryState(3.0, 200.0, 298.15)
     out = an.solve(net, bc, None, "WM", an.SolverConfig())
-    assert set(out.link_flows) == {l.id for l in net.links}
-    fan = out.link_flows["sf_b3"]
-    assert fan.flow == pytest.approx(0.004)
+    flows = an.link_flows(net, out.pressures, bc)
+    assert set(flows) == {l.id for l in net.links}
+    fan = flows["sf_b3"]
+    assert fan.net == pytest.approx(0.004)
 
 
 def test_solver_config_validation():
