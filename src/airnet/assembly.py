@@ -127,6 +127,20 @@ class _Boundary(NamedTuple):
     mid_k: np.ndarray  # Picard flow coefficient
 
 
+class _Point(NamedTuple):
+    """The coupled links of a compiled network evaluated at one pressure
+    vector, boundary and dp_lin."""
+
+    boundary: _Boundary
+    dp_lin: float
+    key: bytes  # the padded pressure vector
+    pz_f: np.ndarray  # pressure of each link's from and to zone, 0.0 outside
+    pz_t: np.ndarray
+    dp: np.ndarray  # from minus to, at each link's elevation
+    opening_inputs: list[tuple]  # opening law arguments before dp_lin
+    opening_flows: list[TwoWayFlow]
+
+
 class _CompiledNetwork:
     """Index and parameter arrays of one network.
 
@@ -203,6 +217,7 @@ class _CompiledNetwork:
         self.entry_gather = np.repeat(coupled_slots, 4)
         self.entry_sign = np.tile(_ENTRY_SIGNS, coupled)
         self._last: _Boundary | None = None
+        self._point: _Point | None = None
 
     def boundary(self, bc: BoundaryState) -> _Boundary:
         """Boundary terms for bc, kept until a call brings another bc."""
@@ -253,17 +268,43 @@ class _CompiledNetwork:
         terms = np.concatenate(values).take(self.entry_gather) * self.entry_sign
         return np.bincount(self.entry_index, terms, minlength=n * n + 1)[: n * n].reshape(n, n)
 
-    def dp(self, off_f: np.ndarray, off_t: np.ndarray, p) -> np.ndarray:
-        """Pressure difference (from minus to) over each coupled link at the
-        heights the offsets were taken."""
+    def point(self, p, bc: BoundaryState, dp_lin: float) -> _Point:
+        """The links evaluated at p, kept until a call brings another point.
+
+        A point is replaced whole, never changed, so threads that share the
+        network each read a consistent one; it is keyed by the pressures'
+        bytes, so a vector changed in place is evaluated afresh.
+        """
         pz = np.concatenate((p, _PADDING))
+        key = pz.tobytes()
+        last = self._point
+        if (
+            last is not None
+            and last.key == key
+            and last.boundary.bc is bc
+            and last.dp_lin == dp_lin
+        ):
+            return last
         if len(pz) != self.n + 1:
             raise ValueError(f"{len(pz) - 1} pressures given for {self.n} zones")
-        return (off_f + pz.take(self.col_f)) - (off_t + pz.take(self.col_t))
-
-    def opening_inputs(self, b: _Boundary, dp: np.ndarray):
-        """(opening law arguments before dp_bottom, dp_bottom) per opening."""
-        return zip(b.opening_args, dp[self.n_cracks :].tolist())
+        b = self.boundary(bc)
+        pz_f, pz_t = pz.take(self.col_f), pz.take(self.col_t)
+        dp = (b.off_f + pz_f) - (b.off_t + pz_t)
+        inputs = [
+            (*args, dp_bottom)
+            for args, dp_bottom in zip(b.opening_args, dp[self.n_cracks :].tolist())
+        ]
+        last = self._point = _Point(
+            boundary=b,
+            dp_lin=dp_lin,
+            key=key,
+            pz_f=pz_f,
+            pz_t=pz_t,
+            dp=dp,
+            opening_inputs=inputs,
+            opening_flows=[large_opening_flow(*args, dp_lin) for args in inputs],
+        )
+        return last
 
 
 def _compiled(net: Network) -> _CompiledNetwork:
@@ -276,16 +317,6 @@ def _compiled(net: Network) -> _CompiledNetwork:
         return compiled
 
 
-def _flows(net: Network, p, bc: BoundaryState, dp_lin: float):
-    """(compiled network, crack flows, TwoWayFlow of each opening)."""
-    c = _compiled(net)
-    b = c.boundary(bc)
-    dp = c.dp(b.off_f, b.off_t, p)
-    cracks = crack_flow(c.crack_k, c.crack_n, dp[: c.n_cracks], dp_lin)
-    openings = [large_opening_flow(*args, d, dp_lin) for args, d in c.opening_inputs(b, dp)]
-    return c, cracks, openings
-
-
 # ---------------------------------------------------------------------------
 # residual, Jacobian, fixed-point system
 
@@ -294,8 +325,10 @@ def residual(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> np.ndarray:
     """Net mass inflow per zone (kg/s), in network zone order."""
-    c, cracks, openings = _flows(net, p, bc, dp_lin)
-    return c.rows(c.mech, cracks, [two_way.net for two_way in openings], c.fan_flow)
+    c = _compiled(net)
+    at = c.point(p, bc, dp_lin)
+    cracks = crack_flow(c.crack_k, c.crack_n, at.dp[: c.n_cracks], dp_lin)
+    return c.rows(c.mech, cracks, [two_way.net for two_way in at.opening_flows], c.fan_flow)
 
 
 def jacobian(
@@ -303,12 +336,9 @@ def jacobian(
 ) -> np.ndarray:
     """Derivative of the residual with respect to the zone pressures."""
     c = _compiled(net)
-    b = c.boundary(bc)
-    dp = c.dp(b.off_f, b.off_t, p)
-    cracks = crack_derivative(c.crack_k, c.crack_n, dp[: c.n_cracks], dp_lin)
-    openings = [
-        large_opening_derivative(*args, d, dp_lin) for args, d in c.opening_inputs(b, dp)
-    ]
+    at = c.point(p, bc, dp_lin)
+    cracks = crack_derivative(c.crack_k, c.crack_n, at.dp[: c.n_cracks], dp_lin)
+    openings = [large_opening_derivative(*args, dp_lin) for args in at.opening_inputs]
     return c.matrix(cracks, openings)
 
 
@@ -321,12 +351,14 @@ def link_flows(
     directional components differ from the trivial split only for
     bidirectional large openings.
     """
-    c, cracks, openings = _flows(net, p, bc, dp_lin)
+    c = _compiled(net)
+    at = c.point(p, bc, dp_lin)
+    cracks = crack_flow(c.crack_k, c.crack_n, at.dp[: c.n_cracks], dp_lin)
 
     def one_way(flows: np.ndarray) -> list[TwoWayFlow]:
         return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows.tolist()]
 
-    slotted = one_way(cracks) + openings + one_way(c.fan_flow)
+    slotted = one_way(cracks) + at.opening_flows + one_way(c.fan_flow)
     return {link_id: slotted[slot] for link_id, slot in zip(c.ids, c.slot_of)}
 
 
@@ -346,13 +378,13 @@ def picard_system(
     two-way flow: the single-conductance picture cannot represent it.
     """
     c = _compiled(net)
-    b = c.boundary(bc)
-    if c.opening_ids:
-        openings = c.opening_inputs(b, c.dp(b.off_f, b.off_t, p))
-        for link_id, (args, d) in zip(c.opening_ids, openings):
-            if large_opening_flow(*args, d, dp_lin).bidirectional:
-                raise ReciprocalFlowError(link_id)
-    conductance = crack_conductance(b.mid_k, c.mid_n, c.dp(b.mid_off_f, b.mid_off_t, p), dp_lin)
+    at = c.point(p, bc, dp_lin)
+    for link_id, two_way in zip(c.opening_ids, at.opening_flows):
+        if two_way.bidirectional:
+            raise ReciprocalFlowError(link_id)
+    b = at.boundary
+    mid_dp = (b.mid_off_f + at.pz_f) - (b.mid_off_t + at.pz_t)
+    conductance = crack_conductance(b.mid_k, c.mid_n, mid_dp, dp_lin)
     # A coupled link's flow is G * ((p_f + off_f) - (p_t + off_t)); its constant
     # part G * (off_f - off_t), like a fan's flow, moves to the right-hand side
     # with the opposite sign.

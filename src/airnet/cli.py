@@ -97,6 +97,12 @@ def _report_invalid(violation: str) -> None:
     print(f"invalid: {violation}", file=sys.stderr)
 
 
+def _unreadable(path: str, exc: OSError | UnicodeDecodeError) -> int:
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"error: cannot read {path}: {reason}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _load_network_or_exit(path: str, report=_report_invalid):
     """(network, EXIT_OK), or (None, exit code) after printing why not;
     `report` prints each validation violation."""
@@ -105,6 +111,8 @@ def _load_network_or_exit(path: str, report=_report_invalid):
     except FileNotFoundError:
         print(f"error: network file not found: {path}", file=sys.stderr)
         return None, EXIT_USAGE
+    except (OSError, UnicodeDecodeError) as exc:
+        return None, _unreadable(path, exc)
     except NetworkFormatError as exc:
         print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
@@ -120,6 +128,8 @@ def _load_weather_or_exit(path: str):
     except FileNotFoundError:
         print(f"error: weather file not found: {path}", file=sys.stderr)
         return None, EXIT_USAGE
+    except (OSError, UnicodeDecodeError) as exc:
+        return None, _unreadable(path, exc)
     except WeatherFormatError as exc:
         print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE

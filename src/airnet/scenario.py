@@ -130,6 +130,11 @@ def parse_weather(text: str) -> list[WeatherRecord]:
         if speed < 0:
             raise WeatherFormatError(f"line {line_no}: negative wind speed {speed}")
         if previous is not None:
+            if (stamp.utcoffset() is None) != (previous.utcoffset() is None):
+                raise WeatherFormatError(
+                    f"line {line_no}: timestamp '{stamp_text}' mixes timestamps with and"
+                    " without a UTC offset"
+                )
             if stamp <= previous:
                 raise WeatherFormatError(
                     f"line {line_no}: timestamp '{stamp_text}' not after the previous row"

@@ -162,16 +162,16 @@ def walton_relaxation(
     oscillation, clamped to the given bounds.  A pure +c/-c flip-flop yields
     exactly 0.5.
     """
-    omega = np.ones_like(correction)
+    omega = np.ones(correction.shape)
     if correction_prev is None:
         return omega
     opposing = correction * correction_prev < 0.0
-    if not np.any(opposing):
+    if not opposing.any():
         return omega
     denom = correction - correction_prev
-    secant = np.divide(correction, denom, out=np.ones_like(correction), where=denom != 0.0)
+    secant = np.divide(correction, denom, out=np.ones(correction.shape), where=denom != 0.0)
     lo, hi = clamp
-    return np.where(opposing, np.clip(secant, lo, hi), 1.0)
+    return np.where(opposing, np.minimum(np.maximum(secant, lo), hi), 1.0)
 
 
 def _newton(
@@ -237,7 +237,7 @@ def picard_init(
         if report.singular:
             return PicardResult(p, k, False, ABORT_SINGULAR, f)
         step = (1.0 - cfg.accel) * (report.solution - p)
-        np.clip(step, -cfg.trunc_dp_max, cfg.trunc_dp_max, out=step)
+        np.minimum(np.maximum(step, -cfg.trunc_dp_max, out=step), cfg.trunc_dp_max, out=step)
         p = p + step
         f = residual(net, p, bc, cfg.dp_lin)
         if _converged(f, cfg):

@@ -1,11 +1,14 @@
 """System assembly: boundary pressures, stack terms, residual, Jacobian, Picard."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import airnet as an
+from airnet.scenario import boundary_from_record
 from helpers import (
     loop_assembly,
     oracle_link_dp,
@@ -444,6 +447,19 @@ def assembled(net, p, bc):
     return out
 
 
+def evaluated(assemble, net, p, bc, dp_lin=an.DP_LIN_DEFAULT):
+    """One assembly output at one state, comparable bit for bit."""
+    try:
+        out = assemble(net, p, bc, dp_lin)
+    except an.ReciprocalFlowError as err:
+        return err.link_id
+    if isinstance(out, an.LinearSystem):
+        return [out.matrix.tobytes(), out.rhs.tobytes()]
+    if isinstance(out, dict):
+        return list(out.items())
+    return out.tobytes()
+
+
 def test_compiled_form_is_reused_without_going_stale():
     # One network object alternates between two boundaries, and two networks
     # are solved in turn; every answer equals the one a freshly parsed
@@ -472,6 +488,65 @@ def test_compiled_form_is_reused_without_going_stale():
                         fresh, theirs.pressures, bc
                     )
                     assert ours.newton_iters == theirs.newton_iters
+    # The links are kept evaluated at the last point asked about, and a call
+    # at another point evaluates them afresh: p changed in place, another
+    # dp_lin, an equal but distinct boundary.
+    for net, text in zip(shared, texts):
+        for bc in boundaries:
+            copy = an.BoundaryState(bc.wind_speed, bc.wind_direction_deg, bc.outdoor_temp_k)
+            for scale in (1.0, 1e-4):
+                for assemble in (an.jacobian, an.picard_system, an.link_flows):
+                    p = rng.uniform(-5, 5, len(net.zones)) * scale
+                    an.residual(net, p, bc)
+                    p[0] += scale
+                    ours = evaluated(assemble, net, p, bc)
+                    assert ours == evaluated(assemble, an.parse_network(text), p, bc)
+                    an.residual(net, p, bc)
+                    ours = evaluated(assemble, net, p, bc, 0.5)
+                    assert ours == evaluated(assemble, an.parse_network(text), p, bc, 0.5)
+                    an.residual(net, p, bc)
+                    ours = evaluated(assemble, net, p, copy)
+                    assert ours == evaluated(assemble, an.parse_network(text), p, copy)
+
+
+def solved(net, bc, strategy):
+    out = an.solve(net, bc, None, strategy)
+    return out.pressures.tobytes(), out.newton_iters, out.picard_iters_used
+
+
+def test_solves_share_one_network_across_threads():
+    # Threads that share a network also share its compiled form, whose kept
+    # boundary and point each get replaced whole; every solve equals a serial
+    # solve on a network of its own, bit for bit.
+    text = an.bundled_example_path("dwelling5").read_text()
+    jobs = [
+        (boundary_from_record(rec), strategy)
+        for rec in an.generate_weather(days=1, step_minutes=30, seed=3)
+        for strategy in an.STRATEGIES
+    ]
+    serial_net = an.parse_network(text)
+    serial = [solved(serial_net, bc, strategy) for bc, strategy in jobs]
+    shared = an.parse_network(text)
+    threaded = [[None] * len(jobs) for _ in range(6)]
+
+    def work(t):
+        for i in range(len(jobs)):
+            j = (i + 7 * t) % len(jobs)
+            threaded[t][j] = solved(shared, *jobs[j])
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(threaded))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    mismatches = sum(ours != theirs for row in threaded for ours, theirs in zip(row, serial))
+    assert mismatches == 0
 
 
 def test_pressure_vector_must_have_one_entry_per_zone():

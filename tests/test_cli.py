@@ -212,6 +212,30 @@ def test_simulate_missing_weather_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--network", "--weather"])
+@pytest.mark.parametrize("unreadable", ["directory", "non-utf-8"])
+def test_unreadable_input_file_is_one_line_io_error(capsys, tmp_path, flag, unreadable):
+    bad = tmp_path / "bad"
+    if unreadable == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfetimestamp\n")
+    files = {"--network": DWELLING, "--weather": str(tmp_path / "w.csv")}
+    files[flag] = str(bad)
+    (tmp_path / "w.csv").write_text(
+        "timestamp,wind_speed_m_s,wind_dir_deg,temp_out_c\n2024-01-01T00:00:00,4.0,90.0,24.0\n"
+    )
+    code, _, err = run(
+        capsys,
+        "simulate", "--network", files["--network"], "--weather", files["--weather"],
+        "--strategy", "wm", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # gen-weather + compare
 

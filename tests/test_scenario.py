@@ -63,6 +63,19 @@ def test_parse_rejects_non_monotone_timestamps():
     assert "not after" in str(err.value)
 
 
+def test_parse_rejects_naive_and_offset_timestamps_mixed():
+    # Comparing the two kinds raised TypeError from inside the parser.
+    bad = TWO_ROWS.replace("00:30:00", "00:30:00+00:00")
+    with pytest.raises(an.WeatherFormatError) as err:
+        an.parse_weather(bad)
+    assert "line 3" in str(err.value)
+    with pytest.raises(an.WeatherFormatError, match="line 3"):
+        an.parse_weather(TWO_ROWS.replace("00:00:00", "00:00:00+01:00"))
+    # every timestamp with an offset is fine, the offsets may differ
+    aware = TWO_ROWS.replace("00:00:00", "00:00:00+00:00").replace("00:30:00", "01:30:00+01:00")
+    assert len(an.parse_weather(aware)) == 2
+
+
 def test_parse_rejects_bad_header_and_empty_file():
     with pytest.raises(an.WeatherFormatError):
         an.parse_weather("time,speed\n1,2\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import airnet as an
-from airnet import solvers
+from airnet import assembly, solvers
 from airnet.scenario import boundary_from_record
 from airnet.solvers import walton_relaxation
 from helpers import random_boundary, random_crack_network
@@ -278,6 +278,32 @@ def test_one_residual_per_iterate(monkeypatch, strategy):
         out = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig())
         assert calls["residual"] == 1 + out.picard_iters_used + out.newton_iters
         assert calls["link_flows"] == 0
+        p = out.pressures
+
+
+@pytest.mark.parametrize("strategy", an.STRATEGIES)
+def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
+    # The Jacobian and the Picard system read the opening flows the residual
+    # evaluated at the same pressures: one opening-law call per residual.
+    calls = {"residual": 0, "opening": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solvers, "residual", counted("residual", solvers.residual))
+    opening_law = counted("opening", assembly.large_opening_flow)
+    monkeypatch.setattr(assembly, "large_opening_flow", opening_law)
+    net = an.load_network(an.bundled_example_path("dwelling5"))
+    assert sum(isinstance(link.model, an.LargeOpening) for link in net.links) == 1
+    p = None
+    for rec in an.generate_weather(days=1, step_minutes=30, seed=42):
+        calls.update(residual=0, opening=0)
+        out = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig())
+        assert calls["opening"] == calls["residual"]
         p = out.pressures
 
 
