@@ -28,6 +28,8 @@ from .links import (
     TwoWayFlow,
     air_density,
     crack_conductance,
+    # Unused here, as the compiled network evaluates its cracks in arrays; kept
+    # because perfbench/tracing.py wraps both in this module.
     crack_derivative,
     crack_flow,
     large_opening_derivative,
@@ -121,10 +123,10 @@ class _Boundary(NamedTuple):
     off_f: np.ndarray  # end offsets at each link's elevation
     off_t: np.ndarray
     opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per opening
-    mid_off_f: np.ndarray  # end offsets where the Picard system takes dp
+    mid_off_f: np.ndarray  # each opening's end offsets at its mid-height
     mid_off_t: np.ndarray
-    mid_doff: np.ndarray  # mid_off_f - mid_off_t
-    mid_k: np.ndarray  # Picard flow coefficient
+    mid_doff: np.ndarray  # end offsets' difference where the Picard system takes dp
+    mid_k: list[float]  # each opening's Picard flow coefficient
 
 
 class _Point(NamedTuple):
@@ -137,6 +139,10 @@ class _Point(NamedTuple):
     pz_f: np.ndarray  # pressure of each link's from and to zone, 0.0 outside
     pz_t: np.ndarray
     dp: np.ndarray  # from minus to, at each link's elevation
+    crack_flows: np.ndarray
+    crack_lin: np.ndarray  # |dp| < dp_lin
+    crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
+    crack_kg: np.ndarray  # k * crack_g: the flow per Pa in the linear band
     opening_inputs: list[tuple]  # opening law arguments before dp_lin
     opening_flows: list[TwoWayFlow]
 
@@ -184,6 +190,11 @@ class _CompiledNetwork:
         models = [link.model for link in slotted]
         self.crack_k = np.array([m.k for m in models[: len(cracks)]], dtype=float)
         self.crack_n = np.array([m.n for m in models[: len(cracks)]], dtype=float)
+        self.crack_nk = self.crack_n * self.crack_k
+        # One pass of the C library's pow, as the float laws call it, gives
+        # max(|dp|, dp_lin) ** (n - 1) and then ** n for every crack; np.power
+        # may round differently in the last bit.
+        self.crack_exponents = (self.crack_n - 1.0).tolist() + self.crack_n.tolist()
         self.opening_ids = [link.id for link in slotted[len(cracks) : coupled]]
         self.opening_params = [(m.width_m, m.height_m, m.cd) for m in models[len(cracks) : coupled]]
         self.fan_flow = np.array([m.flow_kg_s for m in models[coupled:]], dtype=float)
@@ -193,7 +204,6 @@ class _CompiledNetwork:
         self.mid_z = self.elevation + np.array(
             [0.0] * len(cracks) + [0.5 * h for _, h, _ in self.opening_params]
         )
-        self.mid_n = np.concatenate((self.crack_n, np.full(len(openings), 0.5)))
         self.opening_cwh = np.array([cd * w * h for w, h, cd in self.opening_params], dtype=float)
 
         # Zone balances: the n base values, then each link's from and to terms
@@ -248,10 +258,10 @@ class _CompiledNetwork:
                     self.opening_params, rho_f[nc:].tolist(), rho_t[nc:].tolist()
                 )
             ],
-            mid_off_f=mid_off_f,
-            mid_off_t=mid_off_t,
+            mid_off_f=mid_off_f[nc:],
+            mid_off_t=mid_off_t[nc:],
             mid_doff=mid_off_f - mid_off_t,
-            mid_k=np.concatenate((self.crack_k, self.opening_cwh * np.sqrt(2.0 * rho_mean))),
+            mid_k=(self.opening_cwh * np.sqrt(2.0 * rho_mean)).tolist(),
         )
         return last
 
@@ -290,9 +300,19 @@ class _CompiledNetwork:
         b = self.boundary(bc)
         pz_f, pz_t = pz.take(self.col_f), pz.take(self.col_t)
         dp = (b.off_f + pz_f) - (b.off_t + pz_t)
+        nc = self.n_cracks
+        # Each crack once, with the float laws' rounding: in the linear band
+        # flow (k*g)*dp, slope k*g, conductance k*g; outside it flow
+        # copysign(k*h, dp), slope (n*k)*g, conductance k*g.
+        crack_dp = dp[:nc]
+        mag = np.abs(crack_dp)
+        lin = mag < dp_lin
+        base = np.maximum(mag, dp_lin).tolist()
+        powers = np.fromiter(map(pow, base * 2, self.crack_exponents), float, 2 * nc)
+        g, h = powers[:nc], powers[nc:]
+        kg = self.crack_k * g
         inputs = [
-            (*args, dp_bottom)
-            for args, dp_bottom in zip(b.opening_args, dp[self.n_cracks :].tolist())
+            (*args, dp_bottom) for args, dp_bottom in zip(b.opening_args, dp[nc:].tolist())
         ]
         last = self._point = _Point(
             boundary=b,
@@ -301,6 +321,10 @@ class _CompiledNetwork:
             pz_f=pz_f,
             pz_t=pz_t,
             dp=dp,
+            crack_flows=np.where(lin, kg * crack_dp, np.copysign(self.crack_k * h, crack_dp)),
+            crack_lin=lin,
+            crack_g=g,
+            crack_kg=kg,
             opening_inputs=inputs,
             opening_flows=[large_opening_flow(*args, dp_lin) for args in inputs],
         )
@@ -327,8 +351,8 @@ def residual(
     """Net mass inflow per zone (kg/s), in network zone order."""
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
-    cracks = crack_flow(c.crack_k, c.crack_n, at.dp[: c.n_cracks], dp_lin)
-    return c.rows(c.mech, cracks, [two_way.net for two_way in at.opening_flows], c.fan_flow)
+    openings = [two_way.net for two_way in at.opening_flows]
+    return c.rows(c.mech, at.crack_flows, openings, c.fan_flow)
 
 
 def jacobian(
@@ -337,7 +361,7 @@ def jacobian(
     """Derivative of the residual with respect to the zone pressures."""
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
-    cracks = crack_derivative(c.crack_k, c.crack_n, at.dp[: c.n_cracks], dp_lin)
+    cracks = np.where(at.crack_lin, at.crack_kg, c.crack_nk * at.crack_g)
     openings = [large_opening_derivative(*args, dp_lin) for args in at.opening_inputs]
     return c.matrix(cracks, openings)
 
@@ -353,12 +377,11 @@ def link_flows(
     """
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
-    cracks = crack_flow(c.crack_k, c.crack_n, at.dp[: c.n_cracks], dp_lin)
 
     def one_way(flows: np.ndarray) -> list[TwoWayFlow]:
         return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows.tolist()]
 
-    slotted = one_way(cracks) + at.opening_flows + one_way(c.fan_flow)
+    slotted = one_way(at.crack_flows) + at.opening_flows + one_way(c.fan_flow)
     return {link_id: slotted[slot] for link_id, slot in zip(c.ids, c.slot_of)}
 
 
@@ -383,8 +406,13 @@ def picard_system(
         if two_way.bidirectional:
             raise ReciprocalFlowError(link_id)
     b = at.boundary
-    mid_dp = (b.mid_off_f + at.pz_f) - (b.mid_off_t + at.pz_t)
-    conductance = crack_conductance(b.mid_k, c.mid_n, mid_dp, dp_lin)
+    # A crack's mid-height is its elevation, where the point took its dp.
+    nc = c.n_cracks
+    mid_dp = (b.mid_off_f + at.pz_f[nc:]) - (b.mid_off_t + at.pz_t[nc:])
+    openings = [
+        crack_conductance(k, 0.5, dp, dp_lin) for k, dp in zip(b.mid_k, mid_dp.tolist())
+    ]
+    conductance = np.concatenate((at.crack_kg, openings))
     # A coupled link's flow is G * ((p_f + off_f) - (p_t + off_t)); its constant
     # part G * (off_f - off_t), like a fan's flow, moves to the right-hand side
     # with the opposite sign.

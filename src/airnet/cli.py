@@ -124,7 +124,7 @@ def _load_network_or_exit(path: str, report=_report_invalid):
 
 def _load_weather_or_exit(path: str):
     try:
-        return parse_weather(Path(path).read_text()), EXIT_OK
+        return parse_weather(Path(path).read_text(encoding="utf-8-sig")), EXIT_OK
     except FileNotFoundError:
         print(f"error: weather file not found: {path}", file=sys.stderr)
         return None, EXIT_USAGE

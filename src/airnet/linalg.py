@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -16,8 +16,7 @@ __all__ = ["SolveReport", "lu_solve", "PIVOT_THRESHOLD"]
 PIVOT_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     solution: np.ndarray | None
     singular: bool
     pivot_ratio: float  # smallest |pivot| / largest initial |entry|
@@ -45,7 +44,10 @@ def lu_solve(matrix, rhs) -> SolveReport:
 
     # An exactly-zero pivot (info > 0) is caught by the pivot check below.
     lu, piv, _ = dgetrf(a)
-    ratio = float(np.abs(lu.diagonal()).min()) / scale
+    pivots = [abs(d) for d in lu.diagonal().tolist()]
+    # min() passes over a NaN unless it comes first; a sum of magnitudes is
+    # NaN exactly when one of them is, and a NaN pivot gives a NaN ratio.
+    ratio = (math.nan if math.isnan(sum(pivots)) else min(pivots)) / scale
     if ratio < PIVOT_THRESHOLD:
         return SolveReport(None, True, ratio)
     x, _ = dgetrs(lu, piv, b)

@@ -3,7 +3,9 @@
 Each element provides its mass flow, the analytic derivative of that flow
 with respect to the driving pressure difference (for the Newton Jacobian),
 and, for cracks, a linearized conductance G such that flow = G * dP (for the
-fixed-point initializer).
+fixed-point initializer).  The laws take floats.  `assembly` evaluates all
+the cracks of a network at once, in arrays, from the same C-library `pow`
+and the same products, so each array element has the bits of the float law.
 
 Sign convention: dP > 0 drives flow from the link's `from` side to its `to`
 side, and the returned flows are positive in that direction.
@@ -15,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "GRAVITY",
@@ -81,55 +81,32 @@ class TwoWayFlow:
 # cracks (power-law small openings)
 
 
-def _pow(base: np.ndarray, exponent) -> np.ndarray:
-    """Elementwise base ** exponent through the C library's pow, as the scalar
-    laws compute it; np.power may round differently in the last bit."""
-    if not (isinstance(exponent, np.ndarray) and exponent.shape == base.shape):
-        exponent = np.broadcast_to(exponent, base.shape)
-    powers = map(pow, base.ravel().tolist(), exponent.ravel().tolist())
-    return np.fromiter(powers, float, base.size).reshape(base.shape)
-
-
-# The three crack laws take floats, or arrays of k, n and dp (one element per
-# crack); an array result is rounded exactly as the float form would be.
-
-
-def crack_flow(k, n, dp, dp_lin: float = DP_LIN_DEFAULT):
+def crack_flow(k: float, n: float, dp: float, dp_lin: float = DP_LIN_DEFAULT) -> float:
     """Signed power-law flow k * |dP|**n, linearized below dp_lin.
 
     Odd in dP; continuous at the linearization breakpoint.
     """
-    if isinstance(dp, np.ndarray):
-        mag = np.abs(dp)
-        lin = mag < dp_lin
-        kp = k * _pow(np.maximum(mag, dp_lin), np.where(lin, n - 1.0, n))
-        return np.where(lin, kp * dp, np.copysign(kp, dp))
     mag = abs(dp)
     if mag < dp_lin:
         return k * dp_lin ** (n - 1.0) * dp
     return math.copysign(k * mag**n, dp)
 
 
-def crack_derivative(k, n, dp, dp_lin: float = DP_LIN_DEFAULT):
+def crack_derivative(k: float, n: float, dp: float, dp_lin: float = DP_LIN_DEFAULT) -> float:
     """Exact derivative of crack_flow with respect to dP; always > 0."""
-    if isinstance(dp, np.ndarray):
-        mag = np.abs(dp)
-        return np.where(mag < dp_lin, k, n * k) * _pow(np.maximum(mag, dp_lin), n - 1.0)
     mag = abs(dp)
     if mag < dp_lin:
         return k * dp_lin ** (n - 1.0)
     return n * k * mag ** (n - 1.0)
 
 
-def crack_conductance(k, n, dp, dp_lin: float = DP_LIN_DEFAULT):
+def crack_conductance(k: float, n: float, dp: float, dp_lin: float = DP_LIN_DEFAULT) -> float:
     """Linearized conductance G = k * max(|dP|, dp_lin)**(n-1).
 
     Satisfies G * dP == crack_flow(dP) for every dP (exactly, including the
     linearized region), which is what makes the fixed-point system consistent
     with the residual for crack-only networks.
     """
-    if isinstance(dp, np.ndarray):
-        return k * _pow(np.maximum(np.abs(dp), dp_lin), n - 1.0)
     return k * max(abs(dp), dp_lin) ** (n - 1.0)
 
 

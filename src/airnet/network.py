@@ -413,8 +413,8 @@ def serialize_network(net: Network) -> str:
 
 
 def load_network(path: str | Path) -> Network:
-    """Read and parse a network file."""
-    return parse_network(Path(path).read_text())
+    """Read and parse a network file, UTF-8 with or without a byte-order mark."""
+    return parse_network(Path(path).read_text(encoding="utf-8-sig"))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,14 @@ def test_check_unparseable_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_accepts_a_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + an.bundled_example_path("two_crack").read_bytes())
+    code, out, err = run(capsys, "check", "--network", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("OK")
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -177,6 +185,23 @@ def test_simulate_writes_timestep_csv(capsys, tmp_path):
     for line in lines[2:]:
         newton = int(line.split(",")[3])
         assert newton <= 1
+
+
+def test_simulate_accepts_a_weather_file_with_a_byte_order_mark(capsys, tmp_path):
+    rows = "timestamp,wind_speed_m_s,wind_dir_deg,temp_out_c\n2024-01-01T00:00:00,4.0,90.0,24.0\n"
+    outputs = []
+    for name, data in (("plain", rows.encode()), ("bom", b"\xef\xbb\xbf" + rows.encode())):
+        weather = tmp_path / f"{name}.csv"
+        weather.write_bytes(data)
+        out_csv = tmp_path / f"{name}_run.csv"
+        code, _, err = run(
+            capsys,
+            "simulate", "--network", DWELLING, "--weather", str(weather),
+            "--strategy", "wm", "--out", str(out_csv),
+        )
+        assert (code, err) == (0, "")
+        outputs.append(out_csv.read_text())
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_empty_weather_is_usage_error(capsys, tmp_path):

@@ -119,20 +119,50 @@ def test_crack_derivative_matches_finite_difference():
         checked += 1
 
 
+def crack_star(k, n) -> an.Network:
+    """Crack i joins an outdoor node to zone i at both nodes' reference
+    height; with no wind its dp is exactly -p[i], and it is the only term of
+    zone i's balance and of its diagonal matrix entries."""
+    zones = tuple(an.Zone(f"z{i}", 293.15, 0.0, 0.0) for i in range(len(k)))
+    out = an.ExternalNode("out", 0.0, (0.5,) * 8)
+    links = tuple(
+        an.Link(f"c{i}", "out", f"z{i}", 0.0, an.Crack(k=a, n=b))
+        for i, (a, b) in enumerate(zip(k, n))
+    )
+    return an.Network(zones=zones, external_nodes=(out,), links=links)
+
+
 @pytest.mark.parametrize("law", [an.crack_flow, an.crack_derivative, an.crack_conductance])
 def test_crack_laws_on_arrays_match_the_float_form_exactly(law):
+    # The compiled network evaluates every crack at once, in arrays; each
+    # value the residual, the Jacobian, the Picard system and the link flows
+    # read has the bits of the float law.
     rng = np.random.default_rng(9)
-    k = 10 ** rng.uniform(-3, 0, 400)
-    n = rng.uniform(0.5, 1.0, 400)
-    dp = rng.uniform(-60, 60, 400) * rng.choice([1.0, 1e-5, 0.0], 400)
+    size = 400
+    k = (10 ** rng.uniform(-3, 0, size)).tolist()
+    n = rng.uniform(0.5, 1.0, size).tolist()
+    net = crack_star(k, n)
+    bc = an.BoundaryState(0.0, 0.0, 283.15)
     for dp_lin in (DP_LIN_DEFAULT, 0.3):
-        values = law(k, n, dp, dp_lin)
-        expected = [law(*args, dp_lin) for args in zip(k.tolist(), n.tolist(), dp.tolist())]
-        assert values.tolist() == expected
-        # one exponent for every crack
-        assert law(k, 0.65, dp, dp_lin).tolist() == [
-            law(a, 0.65, b, dp_lin) for a, b in zip(k.tolist(), dp.tolist())
-        ]
+        # -0.0 reaches a crack as 0.0: 0.0 - p gives no negative zero.
+        edges = [0.0, -0.0, dp_lin, -dp_lin]
+        edges += [math.nextafter(dp_lin, 0.0), math.nextafter(dp_lin, math.inf)]
+        edges += [math.nextafter(-dp_lin, 0.0), math.nextafter(-dp_lin, -math.inf)]
+        dp = rng.uniform(-60, 60, size) * rng.choice([1.0, 1e-5, 0.0], size)
+        dp[: len(edges)] = edges
+        p = 0.0 - dp
+        dp = (0.0 - p).tolist()
+        assembled = {
+            an.crack_flow: [
+                an.residual(net, p, bc, dp_lin),
+                [flow.net for flow in an.link_flows(net, p, bc, dp_lin).values()],
+            ],
+            an.crack_derivative: [-np.diag(an.jacobian(net, p, bc, dp_lin))],
+            an.crack_conductance: [-np.diag(an.picard_system(net, p, bc, dp_lin).matrix)],
+        }
+        expected = [law(*args, dp_lin) for args in zip(k, n, dp)]
+        for values in assembled[law]:
+            assert np.asarray(values).tolist() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,15 @@ def test_bundled_examples_are_valid(name):
     assert an.validate(net) == []
 
 
+def test_load_network_reads_utf8_with_or_without_a_byte_order_mark(tmp_path):
+    text = an.bundled_example_path("dwelling5").read_text(encoding="utf-8")
+    expected = an.parse_network(text)
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert an.load_network(path) == expected
+
+
 def test_bundled_threestorey_shape():
     net = an.load_network(an.bundled_example_path("threestorey"))
     assert len(net.zones) == 3

@@ -283,9 +283,11 @@ def test_one_residual_per_iterate(monkeypatch, strategy):
 
 @pytest.mark.parametrize("strategy", an.STRATEGIES)
 def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
-    # The Jacobian and the Picard system read the opening flows the residual
-    # evaluated at the same pressures: one opening-law call per residual.
-    calls = {"residual": 0, "opening": 0}
+    # The Jacobian and the Picard system read the links the residual evaluated
+    # at the same pressures: one opening-law call and one pow per crack
+    # exponent per residual.  They call no crack law and no pow; the Picard
+    # system takes only each opening's mid-height conductance.
+    calls = dict.fromkeys(["residual", "opening", "pow", "crack law", "conductance"], 0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -294,16 +296,36 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
 
         return wrapper
 
+    def reading(name):
+        original = getattr(solvers, name)
+
+        def wrapper(*args, **kwargs):
+            before = dict(calls)
+            result = original(*args, **kwargs)
+            assert calls["pow"] == before["pow"] and calls["opening"] == before["opening"]
+            assert calls["conductance"] - before["conductance"] == (name == "picard_system")
+            return result
+
+        return wrapper
+
     monkeypatch.setattr(solvers, "residual", counted("residual", solvers.residual))
-    opening_law = counted("opening", assembly.large_opening_flow)
-    monkeypatch.setattr(assembly, "large_opening_flow", opening_law)
+    monkeypatch.setattr(assembly, "large_opening_flow", counted("opening", assembly.large_opening_flow))
+    monkeypatch.setattr(assembly, "pow", counted("pow", pow), raising=False)
+    for law in ("crack_flow", "crack_derivative"):
+        monkeypatch.setattr(assembly, law, counted("crack law", getattr(assembly, law)))
+    monkeypatch.setattr(assembly, "crack_conductance", counted("conductance", assembly.crack_conductance))
+    for name in ("jacobian", "picard_system"):
+        monkeypatch.setattr(solvers, name, reading(name))
     net = an.load_network(an.bundled_example_path("dwelling5"))
     assert sum(isinstance(link.model, an.LargeOpening) for link in net.links) == 1
+    cracks = sum(isinstance(link.model, an.Crack) for link in net.links)
     p = None
     for rec in an.generate_weather(days=1, step_minutes=30, seed=42):
-        calls.update(residual=0, opening=0)
+        calls.update(dict.fromkeys(calls, 0))
         out = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig())
         assert calls["opening"] == calls["residual"]
+        assert calls["pow"] == 2 * cracks * calls["residual"]
+        assert calls["crack law"] == 0
         p = out.pressures
 
 
