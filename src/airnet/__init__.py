@@ -43,7 +43,6 @@ from .network import (
     bundled_examples,
     load_network,
     parse_network,
-    serialize_network,
     validate,
 )
 from .scenario import (

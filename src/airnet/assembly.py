@@ -138,7 +138,6 @@ class _Point(NamedTuple):
     key: bytes  # the padded pressure vector
     pz_f: np.ndarray  # pressure of each link's from and to zone, 0.0 outside
     pz_t: np.ndarray
-    dp: np.ndarray  # from minus to, at each link's elevation
     crack_flows: np.ndarray
     crack_lin: np.ndarray  # |dp| < dp_lin
     crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
@@ -226,14 +225,10 @@ class _CompiledNetwork:
         self.entry_index = np.where((rows < n) & (cols < n), rows * n + cols, n * n)
         self.entry_gather = np.repeat(coupled_slots, 4)
         self.entry_sign = np.tile(_ENTRY_SIGNS, coupled)
-        self._last: _Boundary | None = None
         self._point: _Point | None = None
 
     def boundary(self, bc: BoundaryState) -> _Boundary:
-        """Boundary terms for bc, kept until a call brings another bc."""
-        last = self._last
-        if last is not None and last.bc is bc:
-            return last
+        """The boundary terms for bc."""
         rho_out = air_density(bc.outdoor_temp_k)
         wind = np.concatenate(
             (np.zeros(self.n), [boundary_pressure(e, bc) for e in self.externals])
@@ -248,7 +243,7 @@ class _CompiledNetwork:
         rho_mean = 0.5 * (rho_f[nc:] + rho_t[nc:])
         mid_off_f = offset(self.node_f, rho_f, self.mid_z)
         mid_off_t = offset(self.node_t, rho_t, self.mid_z)
-        last = self._last = _Boundary(
+        return _Boundary(
             bc=bc,
             off_f=offset(self.node_f, rho_f, self.elevation),
             off_t=offset(self.node_t, rho_t, self.elevation),
@@ -263,7 +258,6 @@ class _CompiledNetwork:
             mid_doff=mid_off_f - mid_off_t,
             mid_k=(self.opening_cwh * np.sqrt(2.0 * rho_mean)).tolist(),
         )
-        return last
 
     def rows(self, base, *values) -> np.ndarray:
         """base per zone, minus each link's value in its from zone and plus it
@@ -279,7 +273,8 @@ class _CompiledNetwork:
         return np.bincount(self.entry_index, terms, minlength=n * n + 1)[: n * n].reshape(n, n)
 
     def point(self, p, bc: BoundaryState, dp_lin: float) -> _Point:
-        """The links evaluated at p, kept until a call brings another point.
+        """The links evaluated at p, kept until a call brings another point;
+        a new point under the same bc object reuses its boundary terms.
 
         A point is replaced whole, never changed, so threads that share the
         network each read a consistent one; it is keyed by the pressures'
@@ -288,16 +283,12 @@ class _CompiledNetwork:
         pz = np.concatenate((p, _PADDING))
         key = pz.tobytes()
         last = self._point
-        if (
-            last is not None
-            and last.key == key
-            and last.boundary.bc is bc
-            and last.dp_lin == dp_lin
-        ):
+        same_bc = last is not None and last.boundary.bc is bc
+        if same_bc and last.key == key and last.dp_lin == dp_lin:
             return last
         if len(pz) != self.n + 1:
             raise ValueError(f"{len(pz) - 1} pressures given for {self.n} zones")
-        b = self.boundary(bc)
+        b = last.boundary if same_bc else self.boundary(bc)
         pz_f, pz_t = pz.take(self.col_f), pz.take(self.col_t)
         dp = (b.off_f + pz_f) - (b.off_t + pz_t)
         nc = self.n_cracks
@@ -320,7 +311,6 @@ class _CompiledNetwork:
             key=key,
             pz_f=pz_f,
             pz_t=pz_t,
-            dp=dp,
             crack_flows=np.where(lin, kg * crack_dp, np.copysign(self.crack_k * h, crack_dp)),
             crack_lin=lin,
             crack_g=g,

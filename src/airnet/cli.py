@@ -21,9 +21,10 @@ from pathlib import Path
 
 from .assembly import BoundaryState, link_flows
 from .network import (
+    Network,
     NetworkFormatError,
     NetworkValidationError,
-    load_network,
+    parse_network,
 )
 from .scenario import (
     TIMESTEP_HEADER,
@@ -51,27 +52,44 @@ EXIT_USAGE = 2
 log = logging.getLogger("airnet")
 
 
+class _Exit(Exception):
+    """Ends a command with an exit code; main prints the message, if any, to stderr."""
+
+    def __init__(self, code: int, message: str | None = None):
+        self.code = code
+        self.message = message
+
+
+def _reason(exc: OSError | UnicodeDecodeError):
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+
+
 def _atomic_write(path: Path, text: str) -> None:
     """Write text to path through a temporary file in the same directory, so
     path never holds half the text; the file gets the mode that
-    open(path, "w") would give it (mkstemp creates 0600)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    open(path, "w") would give it (mkstemp creates 0600).  A path that
+    cannot be written raises _Exit and leaves no temporary file."""
+    tmp = None
     try:
-        mode = stat.S_IMODE(path.stat().st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
+        # stat before mkdir: under a regular file, stat says "Not a
+        # directory" where mkdir would say "File exists".
+        try:
+            mode = stat.S_IMODE(path.stat().st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, "w") as handle:
             os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"error: cannot write {path}: {_reason(exc)}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _json_text(obj) -> str:
@@ -93,46 +111,24 @@ def _csv_text(rows: list[list]) -> str:
     return out.getvalue()
 
 
-def _report_invalid(violation: str) -> None:
-    print(f"invalid: {violation}", file=sys.stderr)
-
-
-def _unreadable(path: str, exc: OSError | UnicodeDecodeError) -> int:
-    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-    print(f"error: cannot read {path}: {reason}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _load_network_or_exit(path: str, report=_report_invalid):
-    """(network, EXIT_OK), or (None, exit code) after printing why not;
-    `report` prints each validation violation."""
+def _read(path: str, what: str, parse):
+    """parse(text) of the file at path, read as UTF-8 with or without a
+    byte-order mark; a file that cannot be read or parsed raises _Exit."""
     try:
-        return load_network(path), EXIT_OK
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
-        print(f"error: network file not found: {path}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: {what} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
-        return None, _unreadable(path, exc)
-    except NetworkFormatError as exc:
-        print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: cannot read {path}: {_reason(exc)}") from None
+    except (NetworkFormatError, WeatherFormatError) as exc:
+        raise _Exit(EXIT_USAGE, f"error: cannot parse {path}: {exc}") from None
+
+
+def _network(path: str) -> Network:
+    try:
+        return _read(path, "network", parse_network)
     except NetworkValidationError as exc:
-        for violation in exc.violations:
-            report(violation)
-        return None, EXIT_DOMAIN
-
-
-def _load_weather_or_exit(path: str):
-    try:
-        return parse_weather(Path(path).read_text(encoding="utf-8-sig")), EXIT_OK
-    except FileNotFoundError:
-        print(f"error: weather file not found: {path}", file=sys.stderr)
-        return None, EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
-        return None, _unreadable(path, exc)
-    except WeatherFormatError as exc:
-        print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise _Exit(EXIT_DOMAIN, "\n".join(f"invalid: {v}" for v in exc.violations)) from None
 
 
 # (flag, SolverConfig field, help); each flag's type and default are the field's,
@@ -147,22 +143,28 @@ _CONFIG_FLAGS = (
 )
 
 
+def _from_flags(make, **fields):
+    """make(**fields), where a value the constructor rejects is a usage error."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise _Exit(EXIT_USAGE, f"error: {exc}") from None
+
+
 def _config_from(args) -> SolverConfig:
     values = vars(args)
-    return SolverConfig(**{f: values[flag[2:].replace("-", "_")] for flag, f, _ in _CONFIG_FLAGS})
+    return _from_flags(
+        SolverConfig, **{f: values[flag[2:].replace("-", "_")] for flag, f, _ in _CONFIG_FLAGS}
+    )
 
 
 def _boundary_from(args) -> BoundaryState:
-    return BoundaryState(
+    return _from_flags(
+        BoundaryState,
         wind_speed=args.wind_speed,
         wind_direction_deg=args.wind_dir,
         outdoor_temp_k=args.temp_out_c + 273.15,
     )
-
-
-def _usage_error(exc: ValueError) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -171,22 +173,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=type(default), default=default, help=help_text)
 
 
-def cmd_check(args) -> int:
-    net, code = _load_network_or_exit(args.network, report=print)
-    if net is None:
-        return code
-    print(f"OK: {len(net.zones)} zones, {len(net.external_nodes)} external nodes, {len(net.links)} links")
-    return EXIT_OK
-
-
-def cmd_solve(args) -> int:
-    net, code = _load_network_or_exit(args.network)
-    if net is None:
-        return code
+def cmd_check(args) -> None:
     try:
-        cfg, bc = _config_from(args), _boundary_from(args)
-    except ValueError as exc:
-        return _usage_error(exc)
+        net = _read(args.network, "network", parse_network)
+    except NetworkValidationError as exc:
+        print("\n".join(exc.violations))
+        raise _Exit(EXIT_DOMAIN) from None
+    print(f"OK: {len(net.zones)} zones, {len(net.external_nodes)} external nodes, {len(net.links)} links")
+
+
+def cmd_solve(args) -> None:
+    net = _network(args.network)
+    cfg, bc = _config_from(args), _boundary_from(args)
     try:
         outcome = solve(net, bc, None, args.strategy, cfg)
     except (NonConvergenceError, SingularJacobianError) as exc:
@@ -195,8 +193,7 @@ def cmd_solve(args) -> int:
             "message": str(exc),
             "pressures": {z.id: float(p) for z, p in zip(net.zones, exc.pressures)},
         }
-        print(_json_text(diagnostics), file=sys.stderr)
-        return EXIT_DOMAIN
+        raise _Exit(EXIT_DOMAIN, _json_text(diagnostics)) from None
     result = {
         "network": args.network,
         "strategy": outcome.strategy,
@@ -223,45 +220,27 @@ def cmd_solve(args) -> int:
         "config": asdict(cfg),
     }
     print(_json_text(result))
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    net, code = _load_network_or_exit(args.network)
-    if net is None:
-        return code
-    weather, code = _load_weather_or_exit(args.weather)
-    if weather is None:
-        return code
-    try:
-        cfg = _config_from(args)
-    except ValueError as exc:
-        return _usage_error(exc)
+def cmd_simulate(args) -> None:
+    net = _network(args.network)
+    weather = _read(args.weather, "weather", parse_weather)
+    cfg = _config_from(args)
     records = run_simulation(net, weather, args.strategy, cfg, warm_start=not args.no_warm_start)
     _atomic_write(Path(args.out), write_timestep_csv(records, net))
     failures = sum(1 for r in records if r.failed is not None)
     print(f"wrote {len(records)} timesteps to {args.out} ({failures} failures)")
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     strategies = [s.upper() for s in args.strategies]
     if len(strategies) < 2:
-        print("error: compare needs at least 2 strategies", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "error: compare needs at least 2 strategies")
     if len(set(strategies)) != len(strategies):
-        print("error: duplicate strategies requested", file=sys.stderr)
-        return EXIT_USAGE
-    net, code = _load_network_or_exit(args.network)
-    if net is None:
-        return code
-    weather, code = _load_weather_or_exit(args.weather)
-    if weather is None:
-        return code
-    try:
-        cfg = _config_from(args)
-    except ValueError as exc:
-        return _usage_error(exc)
+        raise _Exit(EXIT_USAGE, "error: duplicate strategies requested")
+    net = _network(args.network)
+    weather = _read(args.weather, "weather", parse_weather)
+    cfg = _config_from(args)
 
     all_records = {}
     for strategy in strategies:
@@ -309,17 +288,14 @@ def cmd_compare(args) -> int:
             f"{strategy:<10}{s['mean_newton_iters']:>12}{s['mean_iters_with_picard_cost']:>12}"
             f"{s['pct_converged_in_picard']:>10}{s['failures']:>10}"
         )
-    return EXIT_OK
 
 
-def cmd_gen_weather(args) -> int:
+def cmd_gen_weather(args) -> None:
     if args.days < 1 or args.step_min < 1:
-        print("error: --days and --step-min must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "error: --days and --step-min must be >= 1")
     records = generate_weather(days=args.days, step_minutes=args.step_min, seed=args.seed)
     _atomic_write(Path(args.out), serialize_weather(records))
     print(f"wrote {len(records)} rows to {args.out}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +356,13 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("AIRNET_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        args.handler(args)
+    except _Exit as exc:
+        if exc.message is not None:
+            print(exc.message, file=sys.stderr)
+        return exc.code
+    return EXIT_OK
 
 
 def entrypoint() -> None:

@@ -28,8 +28,8 @@ def lu_solve(matrix, rhs) -> SolveReport:
 
     Returns a report instead of raising: `singular` is set when any pivot
     magnitude falls below PIVOT_THRESHOLD times the largest initial entry
-    (or the matrix is all zeros or not finite), and then no solution is
-    present.  A non-finite rhs gives a non-finite solution.
+    or is NaN (or the matrix is all zeros or not finite), and then no
+    solution is present.  A non-finite rhs gives a non-finite solution.
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -46,9 +46,10 @@ def lu_solve(matrix, rhs) -> SolveReport:
     lu, piv, _ = dgetrf(a)
     pivots = [abs(d) for d in lu.diagonal().tolist()]
     # min() passes over a NaN unless it comes first; a sum of magnitudes is
-    # NaN exactly when one of them is, and a NaN pivot gives a NaN ratio.
+    # NaN exactly when one of them is, and a NaN pivot gives a NaN ratio,
+    # which reports the matrix singular.
     ratio = (math.nan if math.isnan(sum(pivots)) else min(pivots)) / scale
-    if ratio < PIVOT_THRESHOLD:
+    if not ratio >= PIVOT_THRESHOLD:
         return SolveReport(None, True, ratio)
     x, _ = dgetrs(lu, piv, b)
     return SolveReport(x, False, ratio)

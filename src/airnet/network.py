@@ -54,7 +54,6 @@ __all__ = [
     "NetworkFormatError",
     "NetworkValidationError",
     "parse_network",
-    "serialize_network",
     "load_network",
     "validate",
     "bundled_example_path",
@@ -251,7 +250,7 @@ def validate(net: Network) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# parsing / serialization
+# parsing
 
 
 def _require(obj: dict, key: str, kind, context: str):
@@ -367,49 +366,6 @@ def parse_network(text: str) -> Network:
     if violations:
         raise NetworkValidationError(violations)
     return net
-
-
-def serialize_network(net: Network) -> str:
-    """Render a network back to its document form (parse round-trips exactly)."""
-
-    def model_doc(model: LinkModel) -> dict:
-        if isinstance(model, Crack):
-            return {"type": "crack", "k": model.k, "n": model.n}
-        if isinstance(model, LargeOpening):
-            return {
-                "type": "large_opening",
-                "width_m": model.width_m,
-                "height_m": model.height_m,
-                "cd": model.cd,
-            }
-        return {"type": "fan", "flow_kg_s": model.flow_kg_s}
-
-    doc = {
-        "zones": [
-            {
-                "id": z.id,
-                "temperature_k": z.temperature_k,
-                "ref_height_m": z.ref_height_m,
-                "mech_flow_kg_s": z.mech_flow_kg_s,
-            }
-            for z in net.zones
-        ],
-        "external_nodes": [
-            {"id": n.id, "ref_height_m": n.ref_height_m, "cp": list(n.cp)}
-            for n in net.external_nodes
-        ],
-        "links": [
-            {
-                "id": k.id,
-                "from": k.from_node,
-                "to": k.to_node,
-                "elevation_m": k.elevation_m,
-                "model": model_doc(k.model),
-            }
-            for k in net.links
-        ],
-    }
-    return json.dumps(doc, indent=2)
 
 
 def load_network(path: str | Path) -> Network:

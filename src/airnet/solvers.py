@@ -87,7 +87,6 @@ class SolverConfig:
     accel            -- fixed-point damping: p_next = accel*p + (1-accel)*p_star
     trunc_dp_max     -- per-component cap on a single fixed-point update, Pa
     dp_lin           -- |dP| below which element laws are linearized, Pa
-    relax_clamp      -- bounds for the adaptive (Walton-style) relaxation
     """
 
     tolerance: float = 1e-3
@@ -97,7 +96,6 @@ class SolverConfig:
     accel: float = 0.5
     trunc_dp_max: float = 60.0
     dp_lin: float = 1e-3
-    relax_clamp: tuple[float, float] = (0.1, 1.0)
 
     def __post_init__(self):
         for name in ("tolerance", "trunc_dp_max", "dp_lin"):
@@ -115,9 +113,6 @@ class SolverConfig:
             raise ValueError("dp_lin must be > 0")
         if self.max_newton_iters < 1 or self.picard_iters < 0:
             raise ValueError("iteration budgets must be positive")
-        lo, hi = self.relax_clamp
-        if not 0 < lo <= hi <= 1:
-            raise ValueError("relax_clamp must satisfy 0 < lo <= hi <= 1")
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def _newton(
         if relax_mode == "fixed":
             p = p + cfg.fixed_relax * correction
         else:
-            omega = walton_relaxation(correction, correction_prev, cfg.relax_clamp)
+            omega = walton_relaxation(correction, correction_prev)
             p = p + omega * correction
         correction_prev = correction
         iters += 1

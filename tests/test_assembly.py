@@ -462,19 +462,16 @@ def evaluated(assemble, net, p, bc, dp_lin=an.DP_LIN_DEFAULT):
 
 def test_compiled_form_is_reused_without_going_stale():
     # One network object alternates between two boundaries, and two networks
-    # are solved in turn; every answer equals the one a freshly parsed
+    # are solved in turn; every answer equals the one a freshly built
     # network gives, bit for bit.
-    texts = [
-        an.serialize_network(mixed_network()),
-        an.bundled_example_path("dwelling5").read_text(),
-    ]
-    shared = [an.parse_network(text) for text in texts]
+    builders = [mixed_network, lambda: an.load_network(an.bundled_example_path("dwelling5"))]
+    shared = [build() for build in builders]
     boundaries = [an.BoundaryState(4.0, 80.0, 280.0), an.BoundaryState(1.5, 250.0, 300.0)]
     rng = np.random.default_rng(8)
     for _ in range(3):
         for bc in boundaries:
-            for net, text in zip(shared, texts):
-                fresh = an.parse_network(text)
+            for net, build in zip(shared, builders):
+                fresh = build()
                 p = rng.uniform(-5, 5, len(net.zones))
                 assert assembled(net, p, bc) == assembled(fresh, p, bc)
                 # an equal but distinct boundary object gives the same answers
@@ -491,7 +488,7 @@ def test_compiled_form_is_reused_without_going_stale():
     # The links are kept evaluated at the last point asked about, and a call
     # at another point evaluates them afresh: p changed in place, another
     # dp_lin, an equal but distinct boundary.
-    for net, text in zip(shared, texts):
+    for net, build in zip(shared, builders):
         for bc in boundaries:
             copy = an.BoundaryState(bc.wind_speed, bc.wind_direction_deg, bc.outdoor_temp_k)
             for scale in (1.0, 1e-4):
@@ -500,13 +497,13 @@ def test_compiled_form_is_reused_without_going_stale():
                     an.residual(net, p, bc)
                     p[0] += scale
                     ours = evaluated(assemble, net, p, bc)
-                    assert ours == evaluated(assemble, an.parse_network(text), p, bc)
+                    assert ours == evaluated(assemble, build(), p, bc)
                     an.residual(net, p, bc)
                     ours = evaluated(assemble, net, p, bc, 0.5)
-                    assert ours == evaluated(assemble, an.parse_network(text), p, bc, 0.5)
+                    assert ours == evaluated(assemble, build(), p, bc, 0.5)
                     an.residual(net, p, bc)
                     ours = evaluated(assemble, net, p, copy)
-                    assert ours == evaluated(assemble, an.parse_network(text), p, copy)
+                    assert ours == evaluated(assemble, build(), p, copy)
 
 
 def solved(net, bc, strategy):

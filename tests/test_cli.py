@@ -261,6 +261,33 @@ def test_unreadable_input_file_is_one_line_io_error(capsys, tmp_path, flag, unre
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("target", ["under a regular file", "a directory"])
+@pytest.mark.parametrize("command", ["simulate", "compare", "gen-weather"])
+def test_unwritable_output_is_one_line_io_error(capsys, tmp_path, command, target):
+    weather = tmp_path / "w.csv"
+    weather.write_text(
+        "timestamp,wind_speed_m_s,wind_dir_deg,temp_out_c\n2024-01-01T00:00:00,4.0,90.0,24.0\n"
+    )
+    (tmp_path / "afile").write_text("")
+    if target == "a directory":
+        out = tmp_path / "out"
+        # compare takes --out as a prefix and writes <out>_iterations.csv first
+        (tmp_path / ("out_iterations.csv" if command == "compare" else "out")).mkdir()
+    else:
+        out = tmp_path / "afile" / "out"
+    inputs = ["--network", DWELLING, "--weather", str(weather)]
+    argv = {
+        "simulate": ["simulate", *inputs],
+        "compare": ["compare", *inputs, "--strategies", "nr", "wm"],
+        "gen-weather": ["gen-weather", "--days", "1"],
+    }[command]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: cannot write ")
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.rglob(".out*"))
+
+
 # ---------------------------------------------------------------------------
 # gen-weather + compare
 

@@ -106,9 +106,9 @@ def test_singular_and_non_finite_matrices_report_no_solution(matrix):
 def test_a_nan_pivot_gives_a_nan_ratio():
     # Finite entries whose elimination overflows: the pivots are 1, -inf and
     # NaN (inf less a zero multiplier times inf).  The NaN pivot is last,
-    # where min() alone would pass over it; the solve goes on, as before.
+    # where min() alone would pass over it; it reports the matrix singular.
     a = np.array([[1.0, 1e308, -1e308], [1.0, -1e308, 1e308], [1.0, 1e308, 1e308]])
     report = lu_solve(a, np.ones(3))
     assert math.isnan(report.pivot_ratio)
-    assert not report.singular
-    assert np.isnan(report.solution).all()
+    assert report.singular
+    assert report.solution is None

@@ -1,4 +1,4 @@
-"""Network model: parsing, validation, serialization round-trips."""
+"""Network model: parsing, validation, bundled examples."""
 
 import dataclasses
 import json
@@ -48,6 +48,25 @@ def test_parse_defaults_cd_and_mech_flow():
     door = [l for l in net.links if l.id == "door"][0]
     assert door.model.cd == 0.6
     assert net.zones[1].mech_flow_kg_s == 0.0
+    # Every field given is read as given, for each model type.
+    doc["zones"][1]["mech_flow_kg_s"] = -0.008
+    doc["external_nodes"][0]["cp"] = [0.6, 0.4, -0.25, -0.5, -0.6, -0.5, -0.25, 0.45]
+    doc["links"][1]["model"]["cd"] = 0.65
+    doc["links"].append(
+        {"id": "sf", "from": "out", "to": "z2", "elevation_m": 2.0,
+         "model": {"type": "fan", "flow_kg_s": 0.004}}
+    )
+    assert an.parse_network(json.dumps(doc)) == an.Network(
+        zones=(an.Zone("z1", 293.15, 1.0), an.Zone("z2", 295.0, 1.0, -0.008)),
+        external_nodes=(
+            an.ExternalNode("out", 1.0, (0.6, 0.4, -0.25, -0.5, -0.6, -0.5, -0.25, 0.45)),
+        ),
+        links=(
+            an.Link("c1", "out", "z1", 1.0, an.Crack(k=0.01, n=0.65)),
+            an.Link("door", "z1", "z2", 0.0, an.LargeOpening(0.8, 2.0, cd=0.65)),
+            an.Link("sf", "out", "z2", 2.0, an.Fan(0.004)),
+        ),
+    )
 
 
 def test_parse_duplicate_id_names_offender():
@@ -259,19 +278,6 @@ def test_bundled_threestorey_shape():
     net = an.load_network(an.bundled_example_path("threestorey"))
     assert len(net.zones) == 3
     assert len(net.links) >= 8
-
-
-def test_round_trip_bundled_fixtures():
-    for name in an.bundled_examples():
-        net = an.load_network(an.bundled_example_path(name))
-        assert an.parse_network(an.serialize_network(net)) == net
-
-
-def test_round_trip_random_networks():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        net = random_crack_network(rng)
-        assert an.parse_network(an.serialize_network(net)) == net
 
 
 def test_bundled_example_path_unknown_name():

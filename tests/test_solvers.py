@@ -390,8 +390,6 @@ def test_solver_config_validation():
         an.SolverConfig(accel=1.0)
     with pytest.raises(ValueError):
         an.SolverConfig(trunc_dp_max=-1.0)
-    with pytest.raises(ValueError):
-        an.SolverConfig(relax_clamp=(0.0, 1.0))
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
