@@ -117,27 +117,25 @@ _ROW_SIGNS = (-1.0, 1.0)
 
 
 class _Boundary(NamedTuple):
-    """The boundary-dependent terms of a compiled network's coupled links."""
+    """The boundary-dependent terms of a compiled network's coupled links,
+    with the offset of every link end in the compiled network's layout."""
 
     bc: BoundaryState
-    off_f: np.ndarray  # end offsets at each link's elevation
-    off_t: np.ndarray
+    ends: np.ndarray
+    neg_mid_doff: np.ndarray  # to minus from end offset where the Picard system takes dp
     opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per opening
-    mid_off_f: np.ndarray  # each opening's end offsets at its mid-height
-    mid_off_t: np.ndarray
-    mid_doff: np.ndarray  # end offsets' difference where the Picard system takes dp
     mid_k: list[float]  # each opening's Picard flow coefficient
 
 
 class _Point(NamedTuple):
     """The coupled links of a compiled network evaluated at one pressure
-    vector, boundary and dp_lin."""
+    vector, boundary and dp_lin, with the pressure at every link end (its
+    offset plus its zone's pressure) in the compiled network's layout."""
 
     boundary: _Boundary
     dp_lin: float
     key: bytes  # the padded pressure vector
-    pz_f: np.ndarray  # pressure of each link's from and to zone, 0.0 outside
-    pz_t: np.ndarray
+    ends: np.ndarray
     crack_flows: np.ndarray
     crack_lin: np.ndarray  # |dp| < dp_lin
     crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
@@ -154,17 +152,19 @@ class _CompiledNetwork:
     pressures; fans do not.  Every zone balance and matrix entry is one
     np.bincount whose terms are gathered back into link order, `from` end
     before `to` end, so each sum is added up in the same order, with the same
-    rounding, as a loop over the links would give it.
+    rounding, as a loop over the links would give it; the Picard matrix and
+    right-hand side share one np.bincount.
+
+    The ends of the coupled links sit in one array: the from ends at each
+    link's elevation, then the to ends there, then the from and then the to
+    ends at each opening's mid-height, where Picard takes it as one orifice.
     """
 
     def __init__(self, net: Network):
         n = len(net.zones)
         self.n = n
         self.externals = net.external_nodes
-        self.zone_rho = np.array([air_density(z.temperature_k) for z in net.zones])
-        self.node_ref = np.array(
-            [z.ref_height_m for z in net.zones] + [e.ref_height_m for e in net.external_nodes]
-        )
+        zone_rho = np.array([air_density(z.temperature_k) for z in net.zones])
         self.mech = np.array([z.mech_flow_kg_s for z in net.zones], dtype=float)
         self.neg_mech = -self.mech
 
@@ -174,17 +174,14 @@ class _CompiledNetwork:
         cracks, openings, fans = of_type(Crack), of_type(LargeOpening), of_type(Fan)
         slotted = [net.links[i] for i in cracks + openings + fans]
         self.ids = [link.id for link in net.links]
-        self.n_cracks = len(cracks)
-        coupled = len(cracks) + len(openings)
+        nc, coupled = len(cracks), len(cracks) + len(openings)
+        self.n_cracks = nc
 
         node = {z.id: i for i, z in enumerate(net.zones)}
         node.update({e.id: n + j for j, e in enumerate(net.external_nodes)})
         node_f = np.array([node[link.from_node] for link in slotted], dtype=np.intp)
         node_t = np.array([node[link.to_node] for link in slotted], dtype=np.intp)
         col_f, col_t = np.minimum(node_f, n), np.minimum(node_t, n)
-        self.node_f, self.node_t = node_f[:coupled], node_t[:coupled]
-        self.col_f, self.col_t = col_f[:coupled], col_t[:coupled]
-        self.elevation = np.array([link.elevation_m for link in slotted[:coupled]], dtype=float)
 
         models = [link.model for link in slotted]
         self.crack_k = np.array([m.k for m in models[: len(cracks)]], dtype=float)
@@ -198,12 +195,24 @@ class _CompiledNetwork:
         self.opening_params = [(m.width_m, m.height_m, m.cd) for m in models[len(cracks) : coupled]]
         self.fan_flow = np.array([m.flow_kg_s for m in models[coupled:]], dtype=float)
         self.neg_fan_flow = -self.fan_flow
-
-        # Picard takes an opening as one orifice at its mid-height.
-        self.mid_z = self.elevation + np.array(
-            [0.0] * len(cracks) + [0.5 * h for _, h, _ in self.opening_params]
-        )
         self.opening_cwh = np.array([cd * w * h for w, h, cd in self.opening_params], dtype=float)
+
+        # Every link end (see the class docstring): its column and z - ref, and
+        # where a boundary takes its wind and rho * g, and each opening's from
+        # and to densities, from a table of every node's wind, rho * g and rho.
+        elevation = np.array([link.elevation_m for link in slotted[:coupled]], dtype=float)
+        mid_z = elevation[nc:] + np.array([0.5 * h for _, h, _ in self.opening_params])
+        open_ends = np.concatenate((node_f[nc:coupled], node_t[nc:coupled]))
+        end_node = np.concatenate((node_f[:coupled], node_t[:coupled], open_ends))
+        node_ref = np.array([z.ref_height_m for z in (*net.zones, *net.external_nodes)])
+        self.end_dz = np.concatenate((elevation, elevation, mid_z, mid_z)) - node_ref[end_node]
+        self.end_col = np.minimum(end_node, n)
+        nodes = len(node_ref)
+        self.end_gather = np.concatenate((end_node, nodes + end_node, 2 * nodes + open_ends))
+        self.node_table = np.zeros((3, nodes))
+        self.node_table[1:, :n] = zone_rho * GRAVITY, zone_rho
+        self.at_f, self.at_t = slice(0, coupled), slice(coupled, 2 * coupled)
+        self.mid_f, self.mid_t = slice(2 * coupled, 3 * coupled - nc), slice(3 * coupled - nc, None)
 
         # Zone balances: the n base values, then each link's from and to terms
         # in link order, each gathered from n + the link's slot.
@@ -217,52 +226,53 @@ class _CompiledNetwork:
         self.row_sign = np.concatenate((np.ones(n), np.tile(_ROW_SIGNS, len(slotted))))
 
         # Matrix entries of each coupled link, in link order, in the flattened
-        # n x n matrix; an entry with an external end goes to the spare slot n * n.
+        # n x n matrix; an entry with an external end goes to the spare slot n * n + n.
         coupled_slots = slot_of[slot_of < coupled]
         f, t = col_f[coupled_slots], col_t[coupled_slots]
         rows = np.column_stack((f, f, t, t)).ravel()
         cols = np.column_stack((f, t, f, t)).ravel()
-        self.entry_index = np.where((rows < n) & (cols < n), rows * n + cols, n * n)
+        self.entry_index = np.where((rows < n) & (cols < n), rows * n + cols, n * n + n)
         self.entry_gather = np.repeat(coupled_slots, 4)
         self.entry_sign = np.tile(_ENTRY_SIGNS, coupled)
+
+        # The Picard system in one np.bincount: the n * n matrix bins, then n
+        # rhs bins, then the spare, over the values (rhs base per zone, rhs
+        # constant per link slot, conductance per coupled link).
+        self.picard_index = np.concatenate((self.entry_index, n * n + self.row_index))
+        self.picard_gather = np.concatenate((n + len(slotted) + self.entry_gather, self.row_gather))
+        self.picard_sign = np.concatenate((self.entry_sign, self.row_sign))
         self._point: _Point | None = None
 
     def boundary(self, bc: BoundaryState) -> _Boundary:
         """The boundary terms for bc."""
         rho_out = air_density(bc.outdoor_temp_k)
-        wind = np.concatenate(
-            (np.zeros(self.n), [boundary_pressure(e, bc) for e in self.externals])
-        )
-        rho = np.concatenate((self.zone_rho, np.full(len(self.externals), rho_out)))
-        rho_f, rho_t = rho[self.node_f], rho[self.node_t]
-
-        def offset(node, rho_end, z):
-            return wind[node] - rho_end * GRAVITY * (z - self.node_ref[node])
-
-        nc = self.n_cracks
-        rho_mean = 0.5 * (rho_f[nc:] + rho_t[nc:])
-        mid_off_f = offset(self.node_f, rho_f, self.mid_z)
-        mid_off_t = offset(self.node_t, rho_t, self.mid_z)
+        table = self.node_table.copy()
+        table[0, self.n :] = [boundary_pressure(e, bc) for e in self.externals]
+        table[1:, self.n :] = [[rho_out * GRAVITY], [rho_out]]
+        terms = table.take(self.end_gather)
+        count, nc = len(self.end_dz), self.n_cracks
+        ends = terms[:count] - terms[count : 2 * count] * self.end_dz
+        rho_f, rho_t = terms[2 * count :].reshape(2, -1)
+        neg_mid_doff = ends[self.at_t] - ends[self.at_f]
+        neg_mid_doff[nc:] = ends[self.mid_t] - ends[self.mid_f]
         return _Boundary(
             bc=bc,
-            off_f=offset(self.node_f, rho_f, self.elevation),
-            off_t=offset(self.node_t, rho_t, self.elevation),
+            ends=ends,
+            neg_mid_doff=neg_mid_doff,
             opening_args=[
                 (*params, rho_from, rho_to)
                 for params, rho_from, rho_to in zip(
-                    self.opening_params, rho_f[nc:].tolist(), rho_t[nc:].tolist()
+                    self.opening_params, rho_f.tolist(), rho_t.tolist()
                 )
             ],
-            mid_off_f=mid_off_f[nc:],
-            mid_off_t=mid_off_t[nc:],
-            mid_doff=mid_off_f - mid_off_t,
-            mid_k=(self.opening_cwh * np.sqrt(2.0 * rho_mean)).tolist(),
+            mid_k=(self.opening_cwh * np.sqrt(2.0 * (0.5 * (rho_f + rho_t)))).tolist(),
         )
 
-    def rows(self, base, *values) -> np.ndarray:
-        """base per zone, minus each link's value in its from zone and plus it
-        in its to zone; `values` hold the link values in slot order."""
-        terms = np.concatenate((base, *values)).take(self.row_gather) * self.row_sign
+    def rows(self, *values) -> np.ndarray:
+        """The mechanical flow per zone, minus each link's value in its from
+        zone and plus it in its to zone; `values` hold the link values in slot
+        order."""
+        terms = np.concatenate((self.mech, *values)).take(self.row_gather) * self.row_sign
         return np.bincount(self.row_index, terms, minlength=self.n + 1)[: self.n]
 
     def matrix(self, *values) -> np.ndarray:
@@ -270,7 +280,7 @@ class _CompiledNetwork:
         -v on both diagonal entries, +v on both off-diagonal ones."""
         n = self.n
         terms = np.concatenate(values).take(self.entry_gather) * self.entry_sign
-        return np.bincount(self.entry_index, terms, minlength=n * n + 1)[: n * n].reshape(n, n)
+        return np.bincount(self.entry_index, terms, minlength=n * n + n + 1)[: n * n].reshape(n, n)
 
     def point(self, p, bc: BoundaryState, dp_lin: float) -> _Point:
         """The links evaluated at p, kept until a call brings another point;
@@ -289,8 +299,8 @@ class _CompiledNetwork:
         if len(pz) != self.n + 1:
             raise ValueError(f"{len(pz) - 1} pressures given for {self.n} zones")
         b = last.boundary if same_bc else self.boundary(bc)
-        pz_f, pz_t = pz.take(self.col_f), pz.take(self.col_t)
-        dp = (b.off_f + pz_f) - (b.off_t + pz_t)
+        ends = b.ends + pz.take(self.end_col)
+        dp = ends[self.at_f] - ends[self.at_t]
         nc = self.n_cracks
         # Each crack once, with the float laws' rounding: in the linear band
         # flow (k*g)*dp, slope k*g, conductance k*g; outside it flow
@@ -309,8 +319,7 @@ class _CompiledNetwork:
             boundary=b,
             dp_lin=dp_lin,
             key=key,
-            pz_f=pz_f,
-            pz_t=pz_t,
+            ends=ends,
             crack_flows=np.where(lin, kg * crack_dp, np.copysign(self.crack_k * h, crack_dp)),
             crack_lin=lin,
             crack_g=g,
@@ -342,7 +351,7 @@ def residual(
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
     openings = [two_way.net for two_way in at.opening_flows]
-    return c.rows(c.mech, at.crack_flows, openings, c.fan_flow)
+    return c.rows(at.crack_flows, openings, c.fan_flow)
 
 
 def jacobian(
@@ -397,8 +406,7 @@ def picard_system(
             raise ReciprocalFlowError(link_id)
     b = at.boundary
     # A crack's mid-height is its elevation, where the point took its dp.
-    nc = c.n_cracks
-    mid_dp = (b.mid_off_f + at.pz_f[nc:]) - (b.mid_off_t + at.pz_t[nc:])
+    mid_dp = at.ends[c.mid_f] - at.ends[c.mid_t]
     openings = [
         crack_conductance(k, 0.5, dp, dp_lin) for k, dp in zip(b.mid_k, mid_dp.tolist())
     ]
@@ -406,7 +414,8 @@ def picard_system(
     # A coupled link's flow is G * ((p_f + off_f) - (p_t + off_t)); its constant
     # part G * (off_f - off_t), like a fan's flow, moves to the right-hand side
     # with the opposite sign.
-    return LinearSystem(
-        matrix=c.matrix(conductance),
-        rhs=c.rows(c.neg_mech, -(conductance * b.mid_doff), c.neg_fan_flow),
-    )
+    constants = conductance * b.neg_mid_doff
+    values = np.concatenate((c.neg_mech, constants, c.neg_fan_flow, conductance))
+    n = c.n
+    summed = np.bincount(c.picard_index, values.take(c.picard_gather) * c.picard_sign)
+    return LinearSystem(matrix=summed[: n * n].reshape(n, n), rhs=summed[n * n : n * n + n])

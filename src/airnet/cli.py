@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import logging
@@ -16,6 +17,7 @@ import os
 import stat
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -64,32 +66,49 @@ def _reason(exc: OSError | UnicodeDecodeError):
     return exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write text to path through a temporary file in the same directory, so
-    path never holds half the text; the file gets the mode that
-    open(path, "w") would give it (mkstemp creates 0600).  A path that
-    cannot be written raises _Exit and leaves no temporary file."""
-    tmp = None
+@contextmanager
+def _outputs(*paths: Path):
+    """Yield write(*texts), which puts one text in each path, all or none:
+    it fills a temporary file next to each path, made on entry so that a path
+    that cannot be written fails before the work, then moves each over its
+    path.  A file gets the mode open(path, "w") would give it (mkstemp creates
+    0600).  A failure to write raises _Exit; no temporary file outlives the block."""
+    temps: list[str] = []
+
+    def write(*texts: str) -> None:
+        nonlocal target
+        for target, tmp, text in zip(paths, temps, texts):
+            Path(tmp).write_text(text)
+        for target, tmp in zip(paths, temps):
+            os.replace(tmp, target)
+
     try:
-        # stat before mkdir: under a regular file, stat says "Not a
-        # directory" where mkdir would say "File exists".
-        try:
-            mode = stat.S_IMODE(path.stat().st_mode)
-        except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-        with os.fdopen(fd, "w") as handle:
-            os.fchmod(handle.fileno(), mode)
-            handle.write(text)
-        os.replace(tmp, path)
+        for target in paths:
+            # stat before mkdir: under a regular file, stat says "Not a
+            # directory" where mkdir would say "File exists".
+            try:
+                mode = target.stat().st_mode
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+            temps.append(tmp)
+            with os.fdopen(fd, "w") as handle:
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
+        target = None  # the block's own errors are not write failures
+        yield write
     except OSError as exc:
-        raise _Exit(EXIT_USAGE, f"error: cannot write {path}: {_reason(exc)}") from None
+        if target is None:
+            raise
+        raise _Exit(EXIT_USAGE, f"error: cannot write {target}: {_reason(exc)}") from None
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _json_text(obj) -> str:
@@ -226,8 +245,9 @@ def cmd_simulate(args) -> None:
     net = _network(args.network)
     weather = _read(args.weather, "weather", parse_weather)
     cfg = _config_from(args)
-    records = run_simulation(net, weather, args.strategy, cfg, warm_start=not args.no_warm_start)
-    _atomic_write(Path(args.out), write_timestep_csv(records, net))
+    with _outputs(Path(args.out)) as write:
+        records = run_simulation(net, weather, args.strategy, cfg, warm_start=not args.no_warm_start)
+        write(write_timestep_csv(records, net))
     failures = sum(1 for r in records if r.failed is not None)
     print(f"wrote {len(records)} timesteps to {args.out} ({failures} failures)")
 
@@ -242,44 +262,41 @@ def cmd_compare(args) -> None:
     weather = _read(args.weather, "weather", parse_weather)
     cfg = _config_from(args)
 
-    all_records = {}
-    for strategy in strategies:
-        log.info("running %s over %d timesteps", strategy, len(weather))
-        all_records[strategy] = run_simulation(
-            net, weather, strategy, cfg, warm_start=not args.no_warm_start
-        )
-
     prefix = Path(args.out)
+    suffixes = ("_iterations.csv", "_wide.csv", "_summary.json")
+    with _outputs(*(prefix.with_name(prefix.name + suffix) for suffix in suffixes)) as write:
+        all_records = {}
+        for strategy in strategies:
+            log.info("running %s over %d timesteps", strategy, len(weather))
+            all_records[strategy] = run_simulation(
+                net, weather, strategy, cfg, warm_start=not args.no_warm_start
+            )
 
-    # Long format: one row per timestep per strategy.
-    long_rows = [[*TIMESTEP_HEADER, "failed"]] + [
-        timestep_row(rec) + [rec.failed or ""]
-        for strategy in strategies
-        for rec in all_records[strategy]
-    ]
-    _atomic_write(prefix.with_name(prefix.name + "_iterations.csv"), _csv_text(long_rows))
-
-    # Wide format: timestep rows, one Newton-iteration column per strategy.
-    wide_rows = [["timestamp"] + [f"newton_iters_{s.lower()}" for s in strategies]]
-    for i, rec in enumerate(weather):
-        wide_rows.append(
-            [rec.timestamp] + [all_records[strategy][i].newton_iters for strategy in strategies]
-        )
-    _atomic_write(prefix.with_name(prefix.name + "_wide.csv"), _csv_text(wide_rows))
-
-    summaries = {
-        strategy: asdict(summarize(records)[strategy])
-        for strategy, records in all_records.items()
-    }
-    report = {
-        "network": args.network,
-        "weather": args.weather,
-        "timesteps": len(weather),
-        "strategies": summaries,
-        "warm_start": not args.no_warm_start,
-        "config": asdict(cfg),
-    }
-    _atomic_write(prefix.with_name(prefix.name + "_summary.json"), _json_text(report) + "\n")
+        # Long format: one row per timestep per strategy.
+        long_rows = [[*TIMESTEP_HEADER, "failed"]] + [
+            timestep_row(rec) + [rec.failed or ""]
+            for strategy in strategies
+            for rec in all_records[strategy]
+        ]
+        # Wide format: timestep rows, one Newton-iteration column per strategy.
+        wide_rows = [["timestamp"] + [f"newton_iters_{s.lower()}" for s in strategies]]
+        for i, rec in enumerate(weather):
+            wide_rows.append(
+                [rec.timestamp] + [all_records[strategy][i].newton_iters for strategy in strategies]
+            )
+        summaries = {
+            strategy: asdict(summarize(records)[strategy])
+            for strategy, records in all_records.items()
+        }
+        report = {
+            "network": args.network,
+            "weather": args.weather,
+            "timesteps": len(weather),
+            "strategies": summaries,
+            "warm_start": not args.no_warm_start,
+            "config": asdict(cfg),
+        }
+        write(_csv_text(long_rows), _csv_text(wide_rows), _json_text(report) + "\n")
 
     print(f"{'strategy':<10}{'mean newton':>12}{'(+picard)':>12}{'%picard':>10}{'failures':>10}")
     for strategy in strategies:
@@ -294,7 +311,8 @@ def cmd_gen_weather(args) -> None:
     if args.days < 1 or args.step_min < 1:
         raise _Exit(EXIT_USAGE, "error: --days and --step-min must be >= 1")
     records = generate_weather(days=args.days, step_minutes=args.step_min, seed=args.seed)
-    _atomic_write(Path(args.out), serialize_weather(records))
+    with _outputs(Path(args.out)) as write:
+        write(serialize_weather(records))
     print(f"wrote {len(records)} rows to {args.out}")
 
 

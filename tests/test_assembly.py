@@ -376,6 +376,39 @@ def mixed_network(with_door=True):
     return net
 
 
+def many_openings_network():
+    """Four large openings at different elevations and heights, the first
+    listed before any crack and a fan between two of them.  Zones a, b and c
+    share a temperature, so the openings among them are never two-way and
+    the Picard system is built unless the one to d is two-way."""
+    links = [
+        an.Link("ab", "a", "b", 0.0, an.LargeOpening(0.9, 2.1)),
+        an.Link("na", "n", "a", 0.6, an.Crack(0.008, 0.65)),
+        an.Link("bc", "b", "c", 1.1, an.LargeOpening(0.6, 0.7, cd=0.65)),
+        an.Link("fan", "s", "c", 1.5, an.Fan(0.004)),
+        an.Link("ca", "c", "a", 2.4, an.LargeOpening(1.2, 0.4)),
+        an.Link("cd", "c", "d", 0.5, an.LargeOpening(0.8, 2.0)),
+        an.Link("bs", "b", "s", 2.0, an.Crack(0.005, 0.6)),
+        an.Link("dn", "d", "n", 5.2, an.Crack(0.006, 0.55)),
+        an.Link("ds", "d", "s", 4.1, an.Crack(0.004, 0.7)),
+    ]
+    net = an.Network(
+        zones=(
+            an.Zone("a", 293.0, 0.0),
+            an.Zone("b", 293.0, 1.2),
+            an.Zone("c", 293.0, 0.5, mech_flow_kg_s=-0.003),
+            an.Zone("d", 303.0, 0.5),
+        ),
+        external_nodes=(
+            an.ExternalNode("n", 0.5, (0.6, 0.4, -0.2, -0.5, -0.6, -0.5, -0.2, 0.4)),
+            an.ExternalNode("s", 3.0, (-0.5, -0.2, 0.4, 0.6, 0.4, -0.2, -0.5, -0.6)),
+        ),
+        links=tuple(links),
+    )
+    assert an.validate(net) == []
+    return net
+
+
 def door_edges(net, p, bc):
     """Pressure difference at the bottom and top edge of the door."""
     door = next(l for l in net.links if l.id == "door")
@@ -558,7 +591,7 @@ def test_pressure_vector_must_have_one_entry_per_zone():
 @pytest.mark.parametrize("dp_lin", [1e-3, 0.5])
 def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
     rng = np.random.default_rng(13)
-    nets = [mixed_network(), mixed_network(with_door=False)]
+    nets = [mixed_network(), mixed_network(with_door=False), many_openings_network()]
     nets += [an.load_network(an.bundled_example_path(name)) for name in an.bundled_examples()]
     nets += [random_crack_network(rng) for _ in range(8)]
     reciprocal = 0
@@ -586,3 +619,24 @@ def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
                     two_way.net, two_way.flow_forward, two_way.flow_reverse, two_way.neutral_height
                 )
     assert reciprocal > 0
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [45.0 * k for k in range(9)]
+    + [math.nextafter(edge, side) for edge in (45.0, 360.0) for side in (0.0, 720.0)],
+)
+def test_boundary_terms_match_the_link_loop_at_sector_edges(direction):
+    # Where int(direction / 45) changes, the wind pressure of every external
+    # node must still be the one boundary_pressure gives it.
+    rng = np.random.default_rng(31)
+    nets = [mixed_network(), many_openings_network()]
+    nets.append(an.load_network(an.bundled_example_path("dwelling5")))
+    for net in nets:
+        bc = an.BoundaryState(5.0, direction, 287.0)
+        p = rng.uniform(-10, 10, len(net.zones))
+        loop = loop_assembly(net, p, bc)
+        assert an.residual(net, p, bc).tobytes() == loop.residual.tobytes()
+        picard = loop.picard if isinstance(loop.picard, str) else [a.tobytes() for a in loop.picard]
+        assert evaluated(an.picard_system, net, p, bc) == picard
+        assert an.link_flows(net, p, bc) == loop.flows

@@ -263,7 +263,12 @@ def test_unreadable_input_file_is_one_line_io_error(capsys, tmp_path, flag, unre
 
 @pytest.mark.parametrize("target", ["under a regular file", "a directory"])
 @pytest.mark.parametrize("command", ["simulate", "compare", "gen-weather"])
-def test_unwritable_output_is_one_line_io_error(capsys, tmp_path, command, target):
+def test_unwritable_output_is_one_line_io_error(capsys, tmp_path, monkeypatch, command, target):
+    # The output is checked before anything is solved.
+    def run_simulation(*args, **kwargs):
+        raise AssertionError("solved before checking the output")
+
+    monkeypatch.setattr("airnet.cli.run_simulation", run_simulation)
     weather = tmp_path / "w.csv"
     weather.write_text(
         "timestamp,wind_speed_m_s,wind_dir_deg,temp_out_c\n2024-01-01T00:00:00,4.0,90.0,24.0\n"
@@ -286,6 +291,20 @@ def test_unwritable_output_is_one_line_io_error(capsys, tmp_path, command, targe
     assert err.startswith("error: cannot write ")
     assert len(err.strip().splitlines()) == 1
     assert not list(tmp_path.rglob(".out*"))
+
+
+def test_compare_writes_all_outputs_or_none(capsys, tmp_path):
+    weather = tmp_path / "w.csv"
+    run(capsys, "gen-weather", "--days", "1", "--out", str(weather))
+    (tmp_path / "c_summary.json").mkdir()
+    code, stdout, err = run(
+        capsys,
+        "compare", "--network", DWELLING, "--weather", str(weather),
+        "--strategies", "nr", "wm", "--out", str(tmp_path / "c"),
+    )
+    assert (code, stdout) == (2, "")
+    assert err.strip() == f"error: cannot write {tmp_path / 'c_summary.json'}: Is a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c_summary.json", "w.csv"]
 
 
 # ---------------------------------------------------------------------------
