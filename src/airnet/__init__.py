@@ -60,6 +60,7 @@ from .solvers import (
     NonConvergenceError,
     PicardResult,
     SingularJacobianError,
+    SolveError,
     SolveOutcome,
     SolverConfig,
     picard_init,

@@ -39,13 +39,7 @@ from .scenario import (
     timestep_row,
     write_timestep_csv,
 )
-from .solvers import (
-    STRATEGIES,
-    NonConvergenceError,
-    SingularJacobianError,
-    SolverConfig,
-    solve,
-)
+from .solvers import STRATEGIES, SolveError, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -206,11 +200,11 @@ def cmd_solve(args) -> None:
     cfg, bc = _config_from(args), _boundary_from(args)
     try:
         outcome = solve(net, bc, None, args.strategy, cfg)
-    except (NonConvergenceError, SingularJacobianError) as exc:
+    except SolveError as exc:
         diagnostics = {
             "error": type(exc).__name__,
             "message": str(exc),
-            "pressures": {z.id: float(p) for z, p in zip(net.zones, exc.pressures)},
+            "pressures": {z.id: float(p) for z, p in zip(net.zones, exc.outcome.pressures)},
         }
         raise _Exit(EXIT_DOMAIN, _json_text(diagnostics)) from None
     result = {

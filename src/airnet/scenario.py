@@ -24,12 +24,7 @@ import numpy as np
 
 from .assembly import BoundaryState
 from .network import Network
-from .solvers import (
-    NonConvergenceError,
-    SingularJacobianError,
-    SolverConfig,
-    solve,
-)
+from .solvers import SolveError, SolverConfig, solve
 
 __all__ = [
     "WEATHER_HEADER",
@@ -67,7 +62,8 @@ class WeatherRecord:
 
 @dataclass(frozen=True)
 class TimestepRecord:
-    """One solver outcome within a time series (or its failure)."""
+    """One solver outcome within a time series; a failed step keeps the
+    last iterate, its max residual and the iteration counts its solve reached."""
 
     timestamp: str
     strategy: str
@@ -234,25 +230,10 @@ def run_simulation(
         bc = boundary_from_record(rec)
         p0 = previous if (warm_start and previous is not None) else zeros
         try:
-            outcome = solve(net, bc, p0, strategy, cfg)
-        except (NonConvergenceError, SingularJacobianError) as exc:
+            outcome, failed = solve(net, bc, p0, strategy, cfg), None
+        except SolveError as exc:
             log.warning("%s %s: %s", strategy, rec.timestamp, exc)
-            singular = isinstance(exc, SingularJacobianError)
-            records.append(
-                TimestepRecord(
-                    timestamp=rec.timestamp,
-                    strategy=strategy.upper(),
-                    picard_iters=0,
-                    newton_iters=exc.iteration if singular else exc.iterations,
-                    converged_in_picard=False,
-                    picard_aborted=None,
-                    max_residual=math.inf if singular else exc.max_residual,
-                    pressures=tuple(float(v) for v in exc.pressures),
-                    failed="singular-jacobian" if singular else "non-convergence",
-                )
-            )
-            previous = None
-            continue
+            outcome, failed = exc.outcome, exc.reason
         records.append(
             TimestepRecord(
                 timestamp=rec.timestamp,
@@ -263,9 +244,10 @@ def run_simulation(
                 picard_aborted=outcome.picard_aborted,
                 max_residual=outcome.max_residual,
                 pressures=tuple(float(v) for v in outcome.pressures),
+                failed=failed,
             )
         )
-        previous = outcome.pressures if warm_start else None
+        previous = outcome.pressures if warm_start and failed is None else None
     return records
 
 

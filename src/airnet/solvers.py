@@ -14,6 +14,7 @@ reported so callers can account the Picard budget either way.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,7 @@ __all__ = [
     "SolverConfig",
     "SolveOutcome",
     "PicardResult",
+    "SolveError",
     "NonConvergenceError",
     "SingularJacobianError",
     "solve",
@@ -46,34 +48,12 @@ __all__ = [
 
 STRATEGIES = ("NR", "WM", "PNR", "PWM")
 
+# Bounds of the Walton relaxation factor where corrections oscillate.
+OMEGA_MIN = 0.1
+OMEGA_MAX = 1.0
+
 ABORT_SINGULAR = "singular"
 ABORT_RECIPROCAL = "reciprocal-flow"
-
-
-class NonConvergenceError(RuntimeError):
-    """Newton iteration exhausted its budget; carries the last iterate."""
-
-    def __init__(self, strategy: str, iterations: int, pressures: np.ndarray, max_residual: float):
-        self.strategy = strategy
-        self.iterations = iterations
-        self.pressures = pressures
-        self.max_residual = max_residual
-        super().__init__(
-            f"{strategy}: no convergence after {iterations} iterations "
-            f"(max residual {max_residual:.3e} kg/s)"
-        )
-
-
-class SingularJacobianError(RuntimeError):
-    """The Newton linear system is singular at the current iterate."""
-
-    def __init__(self, iteration: int, pressures: np.ndarray, pivot_ratio: float):
-        self.iteration = iteration
-        self.pressures = pressures
-        self.pivot_ratio = pivot_ratio
-        super().__init__(
-            f"singular Jacobian at Newton iteration {iteration} (pivot ratio {pivot_ratio:.3e})"
-        )
 
 
 @dataclass(frozen=True)
@@ -111,16 +91,22 @@ class SolverConfig:
             raise ValueError("trunc_dp_max must be > 0")
         if not self.dp_lin > 0:
             raise ValueError("dp_lin must be > 0")
-        if self.max_newton_iters < 1 or self.picard_iters < 0:
-            raise ValueError("iteration budgets must be positive")
+        for name, least in (("max_newton_iters", 1), ("picard_iters", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Converged pressures plus iteration accounting for one solve.
+    """The pressures one solve reached, plus its iteration accounting.
 
-    Link flows are not part of it; `link_flows(net, pressures, bc, dp_lin)`
-    derives them on request.
+    `solve` returns it on convergence; a failed solve raises a SolveError
+    carrying it, with the last iterate and its max |residual|.  Link flows
+    are not part of it; `link_flows(net, pressures, bc, dp_lin)` derives
+    them on request.
     """
 
     strategy: str
@@ -130,6 +116,28 @@ class SolveOutcome:
     converged_in_picard: bool
     picard_aborted: str | None
     max_residual: float
+
+
+class SolveError(RuntimeError):
+    """A solve that stopped without converging; `outcome` is what it reached."""
+
+    reason: str  # the TimestepRecord.failed value for this kind of failure
+
+    def __init__(self, message: str, outcome: SolveOutcome):
+        super().__init__(message)
+        self.outcome = outcome
+
+
+class NonConvergenceError(SolveError):
+    """Newton iteration exhausted its budget."""
+
+    reason = "non-convergence"
+
+
+class SingularJacobianError(SolveError):
+    """The Newton linear system is singular at the last iterate."""
+
+    reason = "singular-jacobian"
 
 
 class PicardResult(NamedTuple):
@@ -145,17 +153,13 @@ def _converged(f: np.ndarray, cfg: SolverConfig) -> bool:
     return float(np.abs(f).max()) <= cfg.tolerance
 
 
-def walton_relaxation(
-    correction: np.ndarray,
-    correction_prev: np.ndarray | None,
-    clamp: tuple[float, float] = (0.1, 1.0),
-) -> np.ndarray:
+def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None) -> np.ndarray:
     """Per-node adaptive relaxation factors.
 
     Full steps (1.0) everywhere, except where the new correction opposes the
     previous one in sign; there the secant factor c / (c - c_prev) damps the
-    oscillation, clamped to the given bounds.  A pure +c/-c flip-flop yields
-    exactly 0.5.
+    oscillation, clamped to [OMEGA_MIN, OMEGA_MAX].  A pure +c/-c flip-flop
+    yields exactly 0.5.
     """
     omega = np.ones(correction.shape)
     if correction_prev is None:
@@ -165,44 +169,7 @@ def walton_relaxation(
         return omega
     denom = correction - correction_prev
     secant = np.divide(correction, denom, out=np.ones(correction.shape), where=denom != 0.0)
-    lo, hi = clamp
-    return np.where(opposing, np.minimum(np.maximum(secant, lo), hi), 1.0)
-
-
-def _newton(
-    net: Network,
-    bc: BoundaryState,
-    p0: np.ndarray,
-    f0: np.ndarray,
-    cfg: SolverConfig,
-    relax_mode: str,
-    strategy_label: str,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Newton iteration from p0, whose residual is f0.
-
-    Returns (pressures, their residual, linear solves used).
-    """
-    p = np.array(p0, dtype=float)
-    f = f0
-    correction_prev: np.ndarray | None = None
-    iters = 0
-    while not _converged(f, cfg):
-        if iters >= cfg.max_newton_iters:
-            raise NonConvergenceError(strategy_label, iters, p, float(np.max(np.abs(f))))
-        jac = jacobian(net, p, bc, cfg.dp_lin)
-        report = lu_solve(jac, -f)
-        if report.singular:
-            raise SingularJacobianError(iters, p, report.pivot_ratio)
-        correction = report.solution
-        if relax_mode == "fixed":
-            p = p + cfg.fixed_relax * correction
-        else:
-            omega = walton_relaxation(correction, correction_prev)
-            p = p + omega * correction
-        correction_prev = correction
-        iters += 1
-        f = residual(net, p, bc, cfg.dp_lin)
-    return p, f, iters
+    return np.where(opposing, np.minimum(np.maximum(secant, OMEGA_MIN), OMEGA_MAX), 1.0)
 
 
 def picard_init(
@@ -250,38 +217,62 @@ def solve(
     """Solve the zone pressure system with one of NR, WM, PNR, PWM.
 
     The network is assumed valid (see network.validate).  PNR and PWM run
-    the Picard initializer first and hand its last iterate to the Newton
-    stage unless it already converged.  Raises NonConvergenceError or
-    SingularJacobianError from the Newton stage.
+    the Picard initializer first and hand its last iterate to the damped
+    Newton stage unless it already converged.  Returns the converged
+    SolveOutcome; when Newton exhausts its budget or meets a singular
+    Jacobian, raises NonConvergenceError or SingularJacobianError carrying
+    the SolveOutcome it reached, Picard accounting included.
     """
     cfg = cfg or SolverConfig()
     name = strategy.upper()
     if name not in STRATEGIES:
         raise ValueError(f"unknown strategy '{strategy}' (expected one of {STRATEGIES})")
-    p = np.zeros(len(net.zones)) if p0 is None else np.asarray(p0, dtype=float)
+    p = np.zeros(len(net.zones)) if p0 is None else np.array(p0, dtype=float)
 
-    picard_used = 0
-    converged_in_picard = False
-    aborted = None
+    picard_used, converged_in_picard, aborted = 0, False, None
     if name in ("PNR", "PWM"):
-        pic = picard_init(net, bc, p, cfg)
-        picard_used = pic.iters_used
-        converged_in_picard = pic.converged
-        aborted = pic.aborted
-        p, f = pic.pressures, pic.residual
+        p, picard_used, converged_in_picard, aborted, f = picard_init(net, bc, p, cfg)
     else:
         f = residual(net, p, bc, cfg.dp_lin)
 
-    # From a start Picard has converged, this takes no iteration.
-    mode = "fixed" if name in ("NR", "PNR") else "walton"
-    p, f, newton_iters = _newton(net, bc, p, f, cfg, mode, name)
+    # Newton; from a start Picard has converged, this takes no iteration.
+    walton = name in ("WM", "PWM")
+    correction_prev = None
+    iters = 0
+    failure = None  # (SolveError subclass, message) once Newton gives up
+    while not _converged(f, cfg):
+        if iters >= cfg.max_newton_iters:
+            failure = NonConvergenceError, (
+                f"{name}: no convergence after {iters} iterations "
+                f"(max residual {float(np.max(np.abs(f))):.3e} kg/s)"
+            )
+            break
+        report = lu_solve(jacobian(net, p, bc, cfg.dp_lin), -f)
+        if report.singular:
+            failure = SingularJacobianError, (
+                f"singular Jacobian at Newton iteration {iters} "
+                f"(pivot ratio {report.pivot_ratio:.3e})"
+            )
+            break
+        correction = report.solution
+        if walton:
+            p = p + walton_relaxation(correction, correction_prev) * correction
+        else:
+            p = p + cfg.fixed_relax * correction
+        correction_prev = correction
+        iters += 1
+        f = residual(net, p, bc, cfg.dp_lin)
 
-    return SolveOutcome(
+    outcome = SolveOutcome(
         strategy=name,
         pressures=p,
-        newton_iters=newton_iters,
+        newton_iters=iters,
         picard_iters_used=picard_used,
         converged_in_picard=converged_in_picard,
         picard_aborted=aborted,
         max_residual=float(np.max(np.abs(f))),
     )
+    if failure is not None:
+        error, message = failure
+        raise error(message, outcome)
+    return outcome

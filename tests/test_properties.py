@@ -2,9 +2,13 @@
 
 Each strategy must either raise NonConvergenceError / SingularJacobianError,
 or return finite pressures whose residual, recomputed by the independent
-oracle, meets the tolerance.  When all four strategies converge, they agree
-within the cross-strategy bound of the acceptance suite.
+oracle, meets the tolerance.  A raised SolveError carries the iterate it
+reached and that iterate's residual.  When all four strategies converge,
+they agree within the cross-strategy bound of the acceptance suite.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +35,39 @@ def test_solve_returns_a_checked_solution_or_raises(strategy, seed, warm):
         return
     assert np.all(np.isfinite(out.pressures))
     assert np.max(np.abs(oracle_residual(net, out.pressures, bc))) <= CFG.tolerance + 1e-12
+
+
+REASONS = {an.NonConvergenceError: "non-convergence", an.SingularJacobianError: "singular-jacobian"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    warm=st.booleans(),
+    budget=st.integers(1, 4),
+    poison=st.booleans(),
+)
+@pytest.mark.parametrize("strategy", an.STRATEGIES)
+def test_solve_error_carries_the_iterate_it_reached(strategy, seed, warm, budget, poison):
+    rng = np.random.default_rng(seed)
+    net = random_crack_network(rng)
+    if poison:  # a NaN reference height makes the residual NaN
+        zones = (dataclasses.replace(net.zones[0], ref_height_m=math.nan),) + net.zones[1:]
+        net = dataclasses.replace(net, zones=zones)
+    bc = random_boundary(rng)
+    p0 = rng.uniform(-20.0, 20.0, len(net.zones)) if warm else None
+    cfg = an.SolverConfig(max_newton_iters=budget)
+    try:
+        an.solve(net, bc, p0, strategy, cfg)
+    except an.SolveError as err:
+        error, out = err, err.outcome
+    else:
+        return
+    assert error.reason == REASONS[type(error)]
+    assert out.strategy == strategy
+    assert out.pressures.shape == (len(net.zones),)
+    fresh = float(np.max(np.abs(an.residual(net, out.pressures, bc, cfg.dp_lin))))
+    assert out.max_residual == fresh or (math.isnan(out.max_residual) and math.isnan(fresh))
 
 
 # The solver settings and agreement bound of the acceptance suite's

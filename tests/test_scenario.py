@@ -1,7 +1,6 @@
 """Weather ingestion, simulation driver, and summaries."""
 
 import logging
-import math
 
 import numpy as np
 import pytest
@@ -177,11 +176,27 @@ def test_singular_step_is_recorded_and_run_continues():
     assert len(records) == 2
     for rec, wrec in zip(records, weather):
         assert rec.failed == "singular-jacobian"
-        assert rec.max_residual == math.inf
+        fresh = an.residual(net, np.array(rec.pressures), boundary_from_record(wrec))
+        assert rec.max_residual == float(np.max(np.abs(fresh)))
         assert (rec.timestamp, rec.strategy) == (wrec.timestamp, "NR")
         assert (rec.picard_iters, rec.newton_iters, rec.converged_in_picard) == (0, 0, False)
         assert rec.picard_aborted is None
         assert rec.pressures == (0.0, 0.0)
+
+
+def test_failed_records_keep_the_picard_accounting():
+    net = an.load_network(an.bundled_example_path("dwelling5"))
+    weather = an.generate_weather(days=1, step_minutes=30, seed=0)
+    cfg = an.SolverConfig(max_newton_iters=3)
+    zeros = np.zeros(len(net.zones))
+    failed = []
+    for strategy in ("PNR", "PWM"):
+        records = an.run_simulation(net, weather, strategy, cfg, warm_start=False)
+        failed += [(rec, wrec) for rec, wrec in zip(records, weather) if rec.failed is not None]
+    for rec, wrec in failed:
+        picard = an.picard_init(net, boundary_from_record(wrec), zeros, cfg)
+        assert (rec.picard_iters, rec.picard_aborted) == (picard.iters_used, picard.aborted)
+    assert any(rec.picard_iters > 0 for rec, _ in failed)
 
 
 def test_empty_weather_rejected():

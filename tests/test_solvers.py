@@ -84,9 +84,9 @@ def test_non_convergence_carries_diagnostics():
     bc = an.BoundaryState(6.0, 30.0, 295.15)
     with pytest.raises(an.NonConvergenceError) as err:
         an.solve(net, bc, None, "NR", an.SolverConfig(max_newton_iters=2))
-    assert err.value.iterations == 2
-    assert err.value.pressures.shape == (5,)
-    assert err.value.max_residual > 1e-3
+    assert err.value.outcome.newton_iters == 2
+    assert err.value.outcome.pressures.shape == (5,)
+    assert err.value.outcome.max_residual > 1e-3
 
 
 def test_singular_jacobian_raised_for_isolated_zone():
@@ -135,7 +135,7 @@ def test_walton_relaxation_same_sign_full_step():
 
 def test_walton_relaxation_clamped():
     # Tiny reversal after a huge correction: secant would go to ~0.
-    omega = walton_relaxation(np.array([-1e-6]), np.array([10.0]), clamp=(0.1, 1.0))
+    omega = walton_relaxation(np.array([-1e-6]), np.array([10.0]))
     assert omega[0] == pytest.approx(0.1)
 
 
@@ -390,6 +390,19 @@ def test_solver_config_validation():
         an.SolverConfig(accel=1.0)
     with pytest.raises(ValueError):
         an.SolverConfig(trunc_dp_max=-1.0)
+    # Under a NaN budget `iters >= max_newton_iters` is never true, so a solve
+    # that cannot converge would loop forever; a fractional one breaks range().
+    for field in ("max_newton_iters", "picard_iters"):
+        for value in (math.nan, math.inf, 2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match=field):
+                an.SolverConfig(**{field: value})
+    with pytest.raises(ValueError, match="max_newton_iters must be >= 1"):
+        an.SolverConfig(max_newton_iters=0)
+    with pytest.raises(ValueError, match="picard_iters must be >= 0"):
+        an.SolverConfig(picard_iters=-1)
+    assert an.SolverConfig(picard_iters=0).picard_iters == 0
+    cfg = an.SolverConfig(max_newton_iters=np.int64(7), picard_iters=np.int32(2))
+    assert (cfg.max_newton_iters, cfg.picard_iters) == (7, 2)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
