@@ -57,6 +57,10 @@ class ReciprocalFlowError(RuntimeError):
         self.link_id = link_id
         super().__init__(f"link '{link_id}' carries reciprocal (two-way) flow")
 
+    def __reduce__(self):
+        # BaseException would re-create the error from `args`, the message.
+        return type(self), (self.link_id,), self.__dict__
+
 
 @dataclass(frozen=True)
 class BoundaryState:
@@ -80,8 +84,7 @@ class BoundaryState:
         object.__setattr__(self, "wind_direction_deg", self.wind_direction_deg % 360.0)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """Dense zone-balance system: matrix @ p = rhs (Pa -> kg/s)."""
 
     matrix: np.ndarray
@@ -134,7 +137,7 @@ class _Point(NamedTuple):
 
     boundary: _Boundary
     dp_lin: float
-    key: bytes  # the padded pressure vector
+    key: bytes  # the pressures as float64
     ends: np.ndarray
     crack_flows: np.ndarray
     crack_lin: np.ndarray  # |dp| < dp_lin
@@ -187,6 +190,7 @@ class _CompiledNetwork:
         self.crack_k = np.array([m.k for m in models[: len(cracks)]], dtype=float)
         self.crack_n = np.array([m.n for m in models[: len(cracks)]], dtype=float)
         self.crack_nk = self.crack_n * self.crack_k
+        self.crack_kk = np.tile(self.crack_k, 2)  # one k per crack power below
         # One pass of the C library's pow, as the float laws call it, gives
         # max(|dp|, dp_lin) ** (n - 1) and then ** n for every crack; np.power
         # may round differently in the last bit.
@@ -288,14 +292,14 @@ class _CompiledNetwork:
 
         A point is replaced whole, never changed, so threads that share the
         network each read a consistent one; it is keyed by the pressures'
-        bytes, so a vector changed in place is evaluated afresh.
+        float64 bytes, so a vector changed in place is evaluated afresh.
         """
-        pz = np.concatenate((p, _PADDING))
-        key = pz.tobytes()
+        key = np.asarray(p, dtype=float).tobytes()
         last = self._point
         same_bc = last is not None and last.boundary.bc is bc
         if same_bc and last.key == key and last.dp_lin == dp_lin:
             return last
+        pz = np.concatenate((p, _PADDING))
         if len(pz) != self.n + 1:
             raise ValueError(f"{len(pz) - 1} pressures given for {self.n} zones")
         b = last.boundary if same_bc else self.boundary(bc)
@@ -310,8 +314,9 @@ class _CompiledNetwork:
         lin = mag < dp_lin
         base = np.maximum(mag, dp_lin).tolist()
         powers = np.fromiter(map(pow, base * 2, self.crack_exponents), float, 2 * nc)
-        g, h = powers[:nc], powers[nc:]
-        kg = self.crack_k * g
+        g = powers[:nc]
+        kgh = self.crack_kk * powers  # k*g, then k*h
+        kg, kh = kgh[:nc], kgh[nc:]
         inputs = [
             (*args, dp_bottom) for args, dp_bottom in zip(b.opening_args, dp[nc:].tolist())
         ]
@@ -320,7 +325,7 @@ class _CompiledNetwork:
             dp_lin=dp_lin,
             key=key,
             ends=ends,
-            crack_flows=np.where(lin, kg * crack_dp, np.copysign(self.crack_k * h, crack_dp)),
+            crack_flows=np.where(lin, kg * crack_dp, np.copysign(kh, crack_dp)),
             crack_lin=lin,
             crack_g=g,
             crack_kg=kg,

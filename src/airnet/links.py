@@ -16,7 +16,7 @@ Units: pressures in Pa, mass flows in kg/s, densities in kg/m3, lengths in m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "GRAVITY",
@@ -54,14 +54,15 @@ def air_density(temperature_k: float) -> float:
     return _DENSITY_NUMERATOR / temperature_k
 
 
-@dataclass(frozen=True)
-class TwoWayFlow:
+class TwoWayFlow(NamedTuple):
     """Directional mass-flow components through one opening.
 
     `flow_forward` runs from the link's `from` side to its `to` side,
     `flow_reverse` the other way; both are >= 0.  `neutral_height` is the
     elevation above the opening's bottom edge where the local pressure
     difference crosses zero, when that elevation falls within the opening.
+    A named tuple, the cheapest record to build: every residual builds one
+    per opening.
     """
 
     flow_forward: float

@@ -127,6 +127,10 @@ class SolveError(RuntimeError):
         super().__init__(message)
         self.outcome = outcome
 
+    def __reduce__(self):
+        # BaseException would re-create the error from `args`, the message alone.
+        return type(self), (self.args[0], self.outcome), self.__dict__
+
 
 class NonConvergenceError(SolveError):
     """Newton iteration exhausted its budget."""
@@ -149,8 +153,10 @@ class PicardResult(NamedTuple):
 
 
 def _converged(f: np.ndarray, cfg: SolverConfig) -> bool:
-    # Written so that a NaN residual counts as not converged.
-    return float(np.abs(f).max()) <= cfg.tolerance
+    # tol >= |x| for every x, in C: a NaN anywhere fails it (Python's max()
+    # would pass over a NaN that is not first), and tol is made a float
+    # because int.__ge__(float) returns NotImplemented, which is truthy.
+    return all(map(float(cfg.tolerance).__ge__, map(abs, f.tolist())))
 
 
 def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None) -> np.ndarray:
@@ -167,8 +173,9 @@ def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None
     opposing = correction * correction_prev < 0.0
     if not opposing.any():
         return omega
-    denom = correction - correction_prev
-    secant = np.divide(correction, denom, out=np.ones(correction.shape), where=denom != 0.0)
+    # Where the corrections oppose, c - c_prev adds two nonzero magnitudes, so
+    # it is never 0; elsewhere the secant is not used and 1.0 keeps c / 1.0 quiet.
+    secant = correction / np.where(opposing, correction - correction_prev, 1.0)
     return np.where(opposing, np.minimum(np.maximum(secant, OMEGA_MIN), OMEGA_MAX), 1.0)
 
 

@@ -247,3 +247,18 @@ def loop_assembly(net: an.Network, p, bc: an.BoundaryState, dp_lin: float = DP_L
             rhs[row] -= sign * const
     picard = reciprocal if reciprocal is not None else (matrix, rhs)
     return LoopAssembly(f, jac, picard, flows)
+
+
+def reference_walton_relaxation(correction: np.ndarray, correction_prev) -> np.ndarray:
+    """Walton's per-node relaxation factors as first written, with the secant
+    from a masked np.divide and the bounds 0.1 and 1.0; the package takes the
+    secant another way and must give these factors bit for bit."""
+    omega = np.ones(correction.shape)
+    if correction_prev is None:
+        return omega
+    opposing = correction * correction_prev < 0.0
+    if not opposing.any():
+        return omega
+    denom = correction - correction_prev
+    secant = np.divide(correction, denom, out=np.ones(correction.shape), where=denom != 0.0)
+    return np.where(opposing, np.minimum(np.maximum(secant, 0.1), 1.0), 1.0)

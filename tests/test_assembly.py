@@ -1,6 +1,8 @@
 """System assembly: boundary pressures, stack terms, residual, Jacobian, Picard."""
 
+import copy
 import math
+import pickle
 import sys
 import threading
 
@@ -324,6 +326,18 @@ def test_picard_system_reciprocal_flow_raises():
     with pytest.raises(an.ReciprocalFlowError) as err:
         an.picard_system(net, np.zeros(2), bc)
     assert err.value.link_id == "door"
+    assert str(err.value) == "link 'door' carries reciprocal (two-way) flow"
+
+
+def test_reciprocal_flow_error_survives_pickle_and_copy():
+    # BaseException would re-create it from its message, taken for a link id.
+    err = an.ReciprocalFlowError("door")
+    err.step = 17  # a caller's own attribute rides along
+    for again in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+        assert type(again) is an.ReciprocalFlowError
+        assert again.link_id == "door"
+        assert str(again) == str(err) and again.args == err.args
+        assert again.step == 17
 
 
 def test_picard_fixed_point_matches_newton_root():
@@ -537,6 +551,18 @@ def test_compiled_form_is_reused_without_going_stale():
                     an.residual(net, p, bc)
                     ours = evaluated(assemble, net, p, copy)
                     assert ours == evaluated(assemble, build(), p, copy)
+    # The point is keyed by the pressures as float64: int64 [1, 0, ...] has
+    # the bytes of float64 [5e-324, 0, ...] but is another point.
+    for net, build in zip(shared, builders):
+        tiny = np.zeros(len(net.zones))
+        tiny[0] = 5e-324
+        ones = np.zeros(len(net.zones), dtype=np.int64)
+        ones[0] = 1
+        assert ones.tobytes() == tiny.tobytes()
+        for assemble in (an.residual, an.jacobian, an.picard_system, an.link_flows):
+            an.residual(net, tiny, boundaries[0])
+            ours = evaluated(assemble, net, ones, boundaries[0])
+            assert ours == evaluated(assemble, build(), ones.astype(float), boundaries[0])
 
 
 def solved(net, bc, strategy):

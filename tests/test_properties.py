@@ -1,4 +1,5 @@
-"""Properties over random crack networks and boundaries.
+"""Properties over random crack networks and boundaries, and of the Walton
+relaxation factors over random corrections.
 
 Each strategy must either raise NonConvergenceError / SingularJacobianError,
 or return finite pressures whose residual, recomputed by the independent
@@ -9,6 +10,7 @@ they agree within the cross-strategy bound of the acceptance suite.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import airnet as an
-from helpers import oracle_residual, random_boundary, random_crack_network
+from helpers import (
+    oracle_residual,
+    random_boundary,
+    random_crack_network,
+    reference_walton_relaxation,
+)
 
 CFG = an.SolverConfig()
 
@@ -89,3 +96,33 @@ def test_strategies_that_all_converge_agree(seed, warm):
     for a in solutions:
         for b in solutions:
             assert np.all(np.abs(a - b) <= np.maximum(1e-6, 1e-9 * np.abs(a)))
+
+
+# Corrections with zeros of both signs, the smallest subnormals (whose
+# products underflow to zero) and arbitrary finite values.
+CORRECTIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, -5e-324]),
+    st.floats(-1e100, 1e100),
+)
+# How each node's previous correction relates to its new one.
+RELATIONS = ("fresh", "equal", "flip", "flip_scaled", "zero")
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(
+    correction=st.lists(CORRECTIONS, min_size=1, max_size=8),
+    relations=st.lists(st.sampled_from(RELATIONS), min_size=8, max_size=8),
+    fresh=st.lists(CORRECTIONS, min_size=8, max_size=8),
+    scale=st.floats(1e-3, 1e3),
+    first=st.booleans(),
+)
+def test_walton_relaxation_matches_the_masked_divide(correction, relations, fresh, scale, first):
+    c = np.array(correction)
+    prev = None if first else np.array([
+        {"fresh": fresh[i], "equal": x, "flip": -x, "flip_scaled": -scale * x, "zero": 0.0}[r]
+        for i, (r, x) in enumerate(zip(relations, correction))
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by zero, even where unused
+        omega = an.walton_relaxation(c, prev)
+    assert omega.tobytes() == reference_walton_relaxation(c, prev).tobytes()

@@ -1,6 +1,9 @@
 """Solver strategies: Newton variants, Picard initialization, composition."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -102,16 +105,76 @@ def test_singular_jacobian_raised_for_isolated_zone():
 
 @pytest.mark.parametrize("strategy", an.STRATEGIES)
 def test_nan_residual_is_not_convergence(strategy):
-    net = an.Network(  # built directly: a NaN reference height makes the residual NaN
+    crack = an.Crack(0.01, 0.65)
+    room = (an.Link("in", "hi", "room", 0.0, crack), an.Link("out", "room", "lo", 0.0, crack))
+    alone = an.Network(  # built directly: a NaN reference height makes the residual NaN
         zones=(an.Zone("room", 282.44, math.nan),),
         external_nodes=(uniform_cp_node("hi", 0.64), uniform_cp_node("lo", 0.0)),
+        links=room,
+    )
+    # "calm" sits between two cracks to the same facade, so its residual is
+    # exactly 0 at the start; Python's max() over [0.0, nan] would give 0.0.
+    nan_last = an.Network(
+        zones=(an.Zone("calm", 282.44, 0.0), an.Zone("room", 282.44, math.nan)),
+        external_nodes=alone.external_nodes,
         links=(
-            an.Link("in", "hi", "room", 0.0, an.Crack(0.01, 0.65)),
-            an.Link("out", "room", "lo", 0.0, an.Crack(0.01, 0.65)),
+            an.Link("c1", "lo", "calm", 0.0, crack),
+            an.Link("c2", "calm", "lo", 0.0, crack),
+            *room,
         ),
     )
-    with pytest.raises((an.NonConvergenceError, an.SingularJacobianError)):
-        an.solve(net, BC10, None, strategy, an.SolverConfig())
+    start = an.residual(nan_last, np.zeros(2), BC10)
+    assert start[0] == 0.0 and math.isnan(start[1])
+    for net in (alone, nan_last):
+        with pytest.raises((an.NonConvergenceError, an.SingularJacobianError)):
+            an.solve(net, BC10, None, strategy, an.SolverConfig())
+
+
+@pytest.mark.parametrize("strategy", an.STRATEGIES)
+def test_integer_tolerance_counts_as_its_float(strategy):
+    # int.__ge__(float) returns NotImplemented, which is truthy; a test built
+    # on it would call any start converged.
+    net = an.load_network(an.bundled_example_path("dwelling5"))
+    bc = an.BoundaryState(6.0, 30.0, 275.15)
+    p0 = [1000.0, -1000.0, 1000.0, -1000.0, 1000.0]  # max |residual| about 2 kg/s
+    ours = an.solve(net, bc, p0, strategy, an.SolverConfig(tolerance=1))
+    theirs = an.solve(net, bc, p0, strategy, an.SolverConfig(tolerance=1.0))
+    assert ours.newton_iters == theirs.newton_iters > 0
+    assert ours.picard_iters_used == theirs.picard_iters_used
+    assert ours.pressures.tobytes() == theirs.pressures.tobytes()
+    assert ours.max_residual <= 1.0
+
+
+def test_solve_errors_survive_pickle_and_copy():
+    # BaseException re-creates an error from its args, which hold the message only.
+    dwelling = an.load_network(an.bundled_example_path("dwelling5"))
+    island = an.Network(  # built directly: validation would reject it
+        zones=(an.Zone("a", 293.0, 0.0), an.Zone("island", 293.0, 0.0)),
+        external_nodes=(uniform_cp_node("out", 0.5),),
+        links=(an.Link("c", "out", "a", 0.0, an.Crack(0.01, 0.6)),),
+    )
+    cases = [
+        (dwelling, an.BoundaryState(6.0, 30.0, 295.15), an.SolverConfig(max_newton_iters=2)),
+        (island, an.BoundaryState(5.0, 0.0, 290.0), an.SolverConfig()),
+    ]
+    kinds = set()
+    for net, bc, cfg in cases:
+        with pytest.raises(an.SolveError) as caught:
+            an.solve(net, bc, None, "PNR", cfg)
+        err = caught.value
+        err.step = 17  # a caller's own attribute rides along
+        kinds.add(type(err))
+        for again in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+            assert type(again) is type(err)
+            assert str(again) == str(err) and again.args == err.args
+            assert again.reason == err.reason
+            assert again.step == 17
+            out, theirs = again.outcome, err.outcome
+            assert out.pressures.tobytes() == theirs.pressures.tobytes()
+            assert dataclasses.replace(out, pressures=None) == dataclasses.replace(
+                theirs, pressures=None
+            )
+    assert kinds == {an.NonConvergenceError, an.SingularJacobianError}
 
 
 def test_invalid_strategy():
