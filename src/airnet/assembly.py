@@ -125,7 +125,7 @@ class _Boundary(NamedTuple):
 
     bc: BoundaryState
     ends: np.ndarray
-    neg_mid_doff: np.ndarray  # to minus from end offset where the Picard system takes dp
+    picard_coef: np.ndarray  # the factor of each Picard term (see _CompiledNetwork)
     opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per opening
     mid_k: list[float]  # each opening's Picard flow coefficient
 
@@ -147,6 +147,13 @@ class _Point(NamedTuple):
     opening_flows: list[TwoWayFlow]
 
 
+def _opening_terms(params: tuple, rho_from: float, rho_to: float) -> tuple[tuple, float]:
+    """An opening's law arguments before dp, and its Picard coefficient cd*W*H*sqrt(2*rho_mean)."""
+    width, height, cd = params
+    k = cd * width * height * math.sqrt(2.0 * (0.5 * (rho_from + rho_to)))
+    return (width, height, cd, rho_from, rho_to), k
+
+
 class _CompiledNetwork:
     """Index and parameter arrays of one network.
 
@@ -161,6 +168,8 @@ class _CompiledNetwork:
     The ends of the coupled links sit in one array: the from ends at each
     link's elevation, then the to ends there, then the from and then the to
     ends at each opening's mid-height, where Picard takes it as one orifice.
+    `boundary` computes what the weather sets: the offsets of the ends at
+    external nodes, the openings with such an end, and the Picard rhs terms.
     """
 
     def __init__(self, net: Network):
@@ -169,7 +178,6 @@ class _CompiledNetwork:
         self.externals = net.external_nodes
         zone_rho = np.array([air_density(z.temperature_k) for z in net.zones])
         self.mech = np.array([z.mech_flow_kg_s for z in net.zones], dtype=float)
-        self.neg_mech = -self.mech
 
         def of_type(kind) -> list[int]:
             return [i for i, link in enumerate(net.links) if isinstance(link.model, kind)]
@@ -196,25 +204,30 @@ class _CompiledNetwork:
         # may round differently in the last bit.
         self.crack_exponents = (self.crack_n - 1.0).tolist() + self.crack_n.tolist()
         self.opening_ids = [link.id for link in slotted[len(cracks) : coupled]]
-        self.opening_params = [(m.width_m, m.height_m, m.cd) for m in models[len(cracks) : coupled]]
         self.fan_flow = np.array([m.flow_kg_s for m in models[coupled:]], dtype=float)
-        self.neg_fan_flow = -self.fan_flow
-        self.opening_cwh = np.array([cd * w * h for w, h, cd in self.opening_params], dtype=float)
+
+        # Each opening's law arguments and Picard coefficient; an external end's
+        # density (None) is the outdoor air's, so `boundary` does those openings.
+        params = [(m.width_m, m.height_m, m.cd) for m in models[nc:coupled]]
+        rho = zone_rho.tolist() + [None] * len(net.external_nodes)
+        by_opening = [(p, rho[f], rho[t]) for p, f, t in zip(params, node_f[nc:], node_t[nc:])]
+        self.facade_openings = [(i, *o) for i, o in enumerate(by_opening) if None in o]
+        terms = [(None, None) if None in o else _opening_terms(*o) for o in by_opening]
+        self.opening_args, self.mid_k = [a for a, _ in terms], [k for _, k in terms]
 
         # Every link end (see the class docstring): its column and z - ref, and
-        # where a boundary takes its wind and rho * g, and each opening's from
-        # and to densities, from a table of every node's wind, rho * g and rho.
+        # its offset; a zone end's is 0 - rho * g * (z - ref) for good, and an
+        # external end's is set by `boundary` from its node's wind.
         elevation = np.array([link.elevation_m for link in slotted[:coupled]], dtype=float)
-        mid_z = elevation[nc:] + np.array([0.5 * h for _, h, _ in self.opening_params])
+        mid_z = elevation[nc:] + np.array([0.5 * h for _, h, _ in params])
         open_ends = np.concatenate((node_f[nc:coupled], node_t[nc:coupled]))
         end_node = np.concatenate((node_f[:coupled], node_t[:coupled], open_ends))
         node_ref = np.array([z.ref_height_m for z in (*net.zones, *net.external_nodes)])
-        self.end_dz = np.concatenate((elevation, elevation, mid_z, mid_z)) - node_ref[end_node]
+        end_dz = np.concatenate((elevation, elevation, mid_z, mid_z)) - node_ref[end_node]
         self.end_col = np.minimum(end_node, n)
-        nodes = len(node_ref)
-        self.end_gather = np.concatenate((end_node, nodes + end_node, 2 * nodes + open_ends))
-        self.node_table = np.zeros((3, nodes))
-        self.node_table[1:, :n] = zone_rho * GRAVITY, zone_rho
+        self.ends = 0.0 - np.append(zone_rho * GRAVITY, 0.0).take(self.end_col) * end_dz
+        facade = self.facade_ends = end_node >= n
+        self.facade_node, self.facade_dz = end_node[facade] - n, end_dz[facade]
         self.at_f, self.at_t = slice(0, coupled), slice(coupled, 2 * coupled)
         self.mid_f, self.mid_t = slice(2 * coupled, 3 * coupled - nc), slice(3 * coupled - nc, None)
 
@@ -240,37 +253,41 @@ class _CompiledNetwork:
         self.entry_sign = np.tile(_ENTRY_SIGNS, coupled)
 
         # The Picard system in one np.bincount: the n * n matrix bins, then n
-        # rhs bins, then the spare, over the values (rhs base per zone, rhs
-        # constant per link slot, conductance per coupled link).
+        # rhs bins, then the spare, over the values (-mech per zone, -flow per
+        # fan, conductance G per coupled link), each term times its coefficient:
+        # the entry sign, or the row sign and, for G, the to minus from offset,
+        # as a coupled link's constant flow G * (off_f - off_t) moves to the rhs.
+        nf = len(fans)
+        self.neg_mech_fans = -np.concatenate((self.mech, self.fan_flow))
+        link_value = np.where(slot_of < coupled, n + nf + slot_of, n + slot_of - coupled)
         self.picard_index = np.concatenate((self.entry_index, n * n + self.row_index))
-        self.picard_gather = np.concatenate((n + len(slotted) + self.entry_gather, self.row_gather))
+        self.picard_gather = np.concatenate(
+            (n + nf + self.entry_gather, np.arange(n), np.repeat(link_value, 2))
+        )
         self.picard_sign = np.concatenate((self.entry_sign, self.row_sign))
+        # G's rhs terms, after its 4 * coupled matrix terms, take the offsets
+        # where Picard takes dp: a crack's elevation, an opening's mid-height.
+        self.picard_rhs = np.flatnonzero(self.picard_gather >= n + nf)[4 * coupled :]
+        s = self.picard_gather[self.picard_rhs] - (n + nf)
+        self.rhs_f = np.where(s < nc, s, s + 2 * coupled - nc)
+        self.rhs_t = self.rhs_f + np.where(s < nc, coupled, coupled - nc)
         self._point: _Point | None = None
 
     def boundary(self, bc: BoundaryState) -> _Boundary:
         """The boundary terms for bc."""
         rho_out = air_density(bc.outdoor_temp_k)
-        table = self.node_table.copy()
-        table[0, self.n :] = [boundary_pressure(e, bc) for e in self.externals]
-        table[1:, self.n :] = [[rho_out * GRAVITY], [rho_out]]
-        terms = table.take(self.end_gather)
-        count, nc = len(self.end_dz), self.n_cracks
-        ends = terms[:count] - terms[count : 2 * count] * self.end_dz
-        rho_f, rho_t = terms[2 * count :].reshape(2, -1)
-        neg_mid_doff = ends[self.at_t] - ends[self.at_f]
-        neg_mid_doff[nc:] = ends[self.mid_t] - ends[self.mid_f]
-        return _Boundary(
-            bc=bc,
-            ends=ends,
-            neg_mid_doff=neg_mid_doff,
-            opening_args=[
-                (*params, rho_from, rho_to)
-                for params, rho_from, rho_to in zip(
-                    self.opening_params, rho_f.tolist(), rho_t.tolist()
-                )
-            ],
-            mid_k=(self.opening_cwh * np.sqrt(2.0 * (0.5 * (rho_f + rho_t)))).tolist(),
-        )
+        wind = np.array([boundary_pressure(e, bc) for e in self.externals])
+        ends = self.ends.copy()
+        ends[self.facade_ends] = wind.take(self.facade_node) - (rho_out * GRAVITY) * self.facade_dz
+        coef = self.picard_sign.copy()
+        coef[self.picard_rhs] *= ends.take(self.rhs_t) - ends.take(self.rhs_f)
+        args, mid_k = self.opening_args, self.mid_k
+        if self.facade_openings:
+            args, mid_k = args.copy(), mid_k.copy()
+            for i, params, *pair in self.facade_openings:
+                pair = [rho_out if rho is None else rho for rho in pair]
+                args[i], mid_k[i] = _opening_terms(params, *pair)
+        return _Boundary(bc=bc, ends=ends, picard_coef=coef, opening_args=args, mid_k=mid_k)
 
     def rows(self, *values) -> np.ndarray:
         """The mechanical flow per zone, minus each link's value in its from
@@ -294,14 +311,17 @@ class _CompiledNetwork:
         network each read a consistent one; it is keyed by the pressures'
         float64 bytes, so a vector changed in place is evaluated afresh.
         """
-        key = np.asarray(p, dtype=float).tobytes()
+        pressures = np.asarray(p, dtype=float)
+        key = pressures.tobytes()
         last = self._point
         same_bc = last is not None and last.boundary.bc is bc
         if same_bc and last.key == key and last.dp_lin == dp_lin:
             return last
-        pz = np.concatenate((p, _PADDING))
-        if len(pz) != self.n + 1:
-            raise ValueError(f"{len(pz) - 1} pressures given for {self.n} zones")
+        if pressures.shape != (self.n,):
+            shape = pressures.shape
+            given = f"{shape[0]} pressures" if len(shape) == 1 else f"pressures of shape {shape}"
+            raise ValueError(f"{given} given for {self.n} zones")
+        pz = np.concatenate((pressures, _PADDING))
         b = last.boundary if same_bc else self.boundary(bc)
         ends = b.ends + pz.take(self.end_col)
         dp = ends[self.at_f] - ends[self.at_t]
@@ -415,12 +435,7 @@ def picard_system(
     openings = [
         crack_conductance(k, 0.5, dp, dp_lin) for k, dp in zip(b.mid_k, mid_dp.tolist())
     ]
-    conductance = np.concatenate((at.crack_kg, openings))
-    # A coupled link's flow is G * ((p_f + off_f) - (p_t + off_t)); its constant
-    # part G * (off_f - off_t), like a fan's flow, moves to the right-hand side
-    # with the opposite sign.
-    constants = conductance * b.neg_mid_doff
-    values = np.concatenate((c.neg_mech, constants, c.neg_fan_flow, conductance))
+    values = np.concatenate((c.neg_mech_fans, at.crack_kg, openings))
     n = c.n
-    summed = np.bincount(c.picard_index, values.take(c.picard_gather) * c.picard_sign)
+    summed = np.bincount(c.picard_index, values.take(c.picard_gather) * b.picard_coef)
     return LinearSystem(matrix=summed[: n * n].reshape(n, n), rhs=summed[n * n : n * n + n])

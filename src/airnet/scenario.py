@@ -243,7 +243,7 @@ def run_simulation(
                 converged_in_picard=outcome.converged_in_picard,
                 picard_aborted=outcome.picard_aborted,
                 max_residual=outcome.max_residual,
-                pressures=tuple(float(v) for v in outcome.pressures),
+                pressures=tuple(outcome.pressures.tolist()),
                 failed=failed,
             )
         )

@@ -167,16 +167,16 @@ def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None
     oscillation, clamped to [OMEGA_MIN, OMEGA_MAX].  A pure +c/-c flip-flop
     yields exactly 0.5.
     """
-    omega = np.ones(correction.shape)
     if correction_prev is None:
-        return omega
+        return np.ones(correction.shape)
     opposing = correction * correction_prev < 0.0
     if not opposing.any():
-        return omega
-    # Where the corrections oppose, c - c_prev adds two nonzero magnitudes, so
-    # it is never 0; elsewhere the secant is not used and 1.0 keeps c / 1.0 quiet.
+        return np.ones(correction.shape)
+    # Where the corrections oppose, c - c_prev adds two nonzero magnitudes: it is
+    # never 0 and, as rounding is monotone, |fl(c - c_prev)| >= |c|, so the secant
+    # is at most OMEGA_MAX = 1.  Elsewhere 1.0 keeps the unused c / 1.0 quiet.
     secant = correction / np.where(opposing, correction - correction_prev, 1.0)
-    return np.where(opposing, np.minimum(np.maximum(secant, OMEGA_MIN), OMEGA_MAX), 1.0)
+    return np.where(opposing, np.maximum(secant, OMEGA_MIN), 1.0)
 
 
 def picard_init(
@@ -251,7 +251,7 @@ def solve(
         if iters >= cfg.max_newton_iters:
             failure = NonConvergenceError, (
                 f"{name}: no convergence after {iters} iterations "
-                f"(max residual {float(np.max(np.abs(f))):.3e} kg/s)"
+                f"(max residual {float(np.abs(f).max()):.3e} kg/s)"
             )
             break
         report = lu_solve(jacobian(net, p, bc, cfg.dp_lin), -f)
@@ -277,7 +277,7 @@ def solve(
         picard_iters_used=picard_used,
         converged_in_picard=converged_in_picard,
         picard_aborted=aborted,
-        max_residual=float(np.max(np.abs(f))),
+        max_residual=float(np.abs(f).max()),
     )
     if failure is not None:
         error, message = failure

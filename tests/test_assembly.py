@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 import threading
 
@@ -423,6 +424,30 @@ def many_openings_network():
     return net
 
 
+def facade_windows_network():
+    """Two zones at 297 K and 301 K with a window from the facade into one and
+    a window from the other out to the facade, a door between them, a crack
+    and a fan.  A window's law arguments and Picard coefficient take the
+    outdoor density, so they change with the weather, unlike the door's."""
+    links = [
+        an.Link("win_in", "n", "a", 0.9, an.LargeOpening(0.8, 1.0)),
+        an.Link("door", "a", "b", 0.0, an.LargeOpening(0.9, 2.1)),
+        an.Link("crack", "a", "s", 1.5, an.Crack(0.005, 0.65)),
+        an.Link("win_out", "b", "s", 1.2, an.LargeOpening(0.6, 0.5, cd=0.65)),
+        an.Link("fan", "n", "b", 2.5, an.Fan(0.002)),
+    ]
+    net = an.Network(
+        zones=(an.Zone("a", 297.0, 0.0), an.Zone("b", 301.0, 0.5)),
+        external_nodes=(
+            an.ExternalNode("n", 0.5, (0.6, 0.4, -0.2, -0.5, -0.6, -0.5, -0.2, 0.4)),
+            an.ExternalNode("s", 3.0, (-0.5, -0.2, 0.4, 0.6, 0.4, -0.2, -0.5, -0.6)),
+        ),
+        links=tuple(links),
+    )
+    assert an.validate(net) == []
+    return net
+
+
 def door_edges(net, p, bc):
     """Pressure difference at the bottom and top edge of the door."""
     door = next(l for l in net.links if l.id == "door")
@@ -511,7 +536,11 @@ def test_compiled_form_is_reused_without_going_stale():
     # One network object alternates between two boundaries, and two networks
     # are solved in turn; every answer equals the one a freshly built
     # network gives, bit for bit.
-    builders = [mixed_network, lambda: an.load_network(an.bundled_example_path("dwelling5"))]
+    builders = [
+        mixed_network,
+        facade_windows_network,
+        lambda: an.load_network(an.bundled_example_path("dwelling5")),
+    ]
     shared = [build() for build in builders]
     boundaries = [an.BoundaryState(4.0, 80.0, 280.0), an.BoundaryState(1.5, 250.0, 300.0)]
     rng = np.random.default_rng(8)
@@ -570,20 +599,19 @@ def solved(net, bc, strategy):
     return out.pressures.tobytes(), out.newton_iters, out.picard_iters_used
 
 
-def test_solves_share_one_network_across_threads():
-    # Threads that share a network also share its compiled form, whose kept
-    # boundary and point each get replaced whole; every solve equals a serial
-    # solve on a network of its own, bit for bit.
-    text = an.bundled_example_path("dwelling5").read_text()
-    jobs = [
+def day_of_jobs(step_minutes):
+    """Every strategy at each step of one generated day."""
+    return [
         (boundary_from_record(rec), strategy)
-        for rec in an.generate_weather(days=1, step_minutes=30, seed=3)
+        for rec in an.generate_weather(days=1, step_minutes=step_minutes, seed=3)
         for strategy in an.STRATEGIES
     ]
-    serial_net = an.parse_network(text)
-    serial = [solved(serial_net, bc, strategy) for bc, strategy in jobs]
-    shared = an.parse_network(text)
-    threaded = [[None] * len(jobs) for _ in range(6)]
+
+
+def solved_in_threads(shared, jobs, count=6):
+    """Each of `count` threads solves every job on the shared network, each
+    starting at another job, with a thread switch about every microsecond."""
+    threaded = [[None] * len(jobs) for _ in range(count)]
 
     def work(t):
         for i in range(len(jobs)):
@@ -593,7 +621,7 @@ def test_solves_share_one_network_across_threads():
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(threaded))]
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(count)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -601,8 +629,30 @@ def test_solves_share_one_network_across_threads():
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(previous)
+    return threaded
+
+
+def test_solves_share_one_network_across_threads():
+    # Threads that share a network also share its compiled form, whose kept
+    # boundary and point each get replaced whole; every solve equals a serial
+    # solve on a network of its own, bit for bit.
+    text = an.bundled_example_path("dwelling5").read_text()
+    jobs = day_of_jobs(30)
+    serial_net = an.parse_network(text)
+    serial = [solved(serial_net, bc, strategy) for bc, strategy in jobs]
+    threaded = solved_in_threads(an.parse_network(text), jobs)
     mismatches = sum(ours != theirs for row in threaded for ours, theirs in zip(row, serial))
     assert mismatches == 0
+
+
+def test_facade_windows_keep_their_weather_across_threads():
+    # A window's densities and Picard coefficient come with each boundary;
+    # no thread may see another thread's weather in them.
+    jobs = day_of_jobs(120)
+    serial_net = facade_windows_network()
+    serial = [solved(serial_net, bc, strategy) for bc, strategy in jobs]
+    threaded = solved_in_threads(facade_windows_network(), jobs)
+    assert all(row == serial for row in threaded)
 
 
 def test_pressure_vector_must_have_one_entry_per_zone():
@@ -610,14 +660,29 @@ def test_pressure_vector_must_have_one_entry_per_zone():
     bc = an.BoundaryState(2.0, 0.0, 290.0)
     for p in (np.zeros(2), np.zeros(4)):
         for assemble in (an.residual, an.jacobian, an.picard_system, an.link_flows):
-            with pytest.raises(ValueError, match="3 zones"):
+            with pytest.raises(ValueError, match=f"^{len(p)} pressures given for 3 zones$"):
                 assemble(net, p, bc)
+
+
+@pytest.mark.parametrize(
+    "p", [np.zeros((3, 1)), np.zeros((1, 3)), 0.0], ids=["column", "row", "scalar"]
+)
+def test_pressures_of_another_shape_are_refused_by_their_shape(p):
+    net = mixed_network()
+    bc = an.BoundaryState(2.0, 0.0, 290.0)
+    message = "^" + re.escape(f"pressures of shape {np.shape(p)} given for 3 zones") + "$"
+    with pytest.raises(ValueError, match=message):
+        an.residual(net, p, bc)
+    for strategy in an.STRATEGIES:
+        with pytest.raises(ValueError, match=message):
+            an.solve(net, bc, p, strategy)
 
 
 @pytest.mark.parametrize("dp_lin", [1e-3, 0.5])
 def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
     rng = np.random.default_rng(13)
     nets = [mixed_network(), mixed_network(with_door=False), many_openings_network()]
+    nets.append(facade_windows_network())
     nets += [an.load_network(an.bundled_example_path(name)) for name in an.bundled_examples()]
     nets += [random_crack_network(rng) for _ in range(8)]
     reciprocal = 0
@@ -656,7 +721,7 @@ def test_boundary_terms_match_the_link_loop_at_sector_edges(direction):
     # Where int(direction / 45) changes, the wind pressure of every external
     # node must still be the one boundary_pressure gives it.
     rng = np.random.default_rng(31)
-    nets = [mixed_network(), many_openings_network()]
+    nets = [mixed_network(), many_openings_network(), facade_windows_network()]
     nets.append(an.load_network(an.bundled_example_path("dwelling5")))
     for net in nets:
         bc = an.BoundaryState(5.0, direction, 287.0)

@@ -144,6 +144,7 @@ def test_run_simulation_is_deterministic():
     one = an.run_simulation(net, weather, "PWM", an.SolverConfig())
     two = an.run_simulation(net, weather, "PWM", an.SolverConfig())
     assert one == two
+    assert all(type(v) is float for rec in one for v in rec.pressures)
 
 
 def test_warm_start_changes_counts_not_pressures():
