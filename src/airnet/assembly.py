@@ -28,8 +28,9 @@ from .links import (
     TwoWayFlow,
     air_density,
     crack_conductance,
-    # Unused here, as the compiled network evaluates its cracks in arrays; kept
-    # because perfbench/tracing.py wraps both in this module.
+    # Unused here, as the compiled network evaluates its cracks in arrays and
+    # each opening's flow carries its derivative; kept because
+    # perfbench/tracing.py wraps all three in this module.
     crack_derivative,
     crack_flow,
     large_opening_derivative,
@@ -81,7 +82,9 @@ class BoundaryState:
             raise ValueError(f"wind speed must be >= 0, got {self.wind_speed}")
         if self.outdoor_temp_k <= 0:
             raise ValueError(f"outdoor temperature must be > 0 K, got {self.outdoor_temp_k}")
-        object.__setattr__(self, "wind_direction_deg", self.wind_direction_deg % 360.0)
+        # A tiny negative direction reduces to 360.0, which is north too.
+        direction = self.wind_direction_deg % 360.0
+        object.__setattr__(self, "wind_direction_deg", 0.0 if direction == 360.0 else direction)
 
 
 class LinearSystem(NamedTuple):
@@ -127,7 +130,7 @@ class _Boundary(NamedTuple):
     ends: np.ndarray
     picard_coef: np.ndarray  # the factor of each Picard term (see _CompiledNetwork)
     opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per opening
-    mid_k: list[float]  # each opening's Picard flow coefficient
+    mid_k: list[float]  # each opening's Picard flow coefficient cd*W*H*sqrt(2*rho_mean)
 
 
 class _Point(NamedTuple):
@@ -143,15 +146,7 @@ class _Point(NamedTuple):
     crack_lin: np.ndarray  # |dp| < dp_lin
     crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
     crack_kg: np.ndarray  # k * crack_g: the flow per Pa in the linear band
-    opening_inputs: list[tuple]  # opening law arguments before dp_lin
-    opening_flows: list[TwoWayFlow]
-
-
-def _opening_terms(params: tuple, rho_from: float, rho_to: float) -> tuple[tuple, float]:
-    """An opening's law arguments before dp, and its Picard coefficient cd*W*H*sqrt(2*rho_mean)."""
-    width, height, cd = params
-    k = cd * width * height * math.sqrt(2.0 * (0.5 * (rho_from + rho_to)))
-    return (width, height, cd, rho_from, rho_to), k
+    opening_flows: list[TwoWayFlow]  # each with its derivative
 
 
 class _CompiledNetwork:
@@ -169,7 +164,9 @@ class _CompiledNetwork:
     link's elevation, then the to ends there, then the from and then the to
     ends at each opening's mid-height, where Picard takes it as one orifice.
     `boundary` computes what the weather sets: the offsets of the ends at
-    external nodes, the openings with such an end, and the Picard rhs terms.
+    external nodes, every opening's law arguments and Picard coefficient
+    (an end at an external node takes the outdoor density), and the Picard
+    rhs terms.
     """
 
     def __init__(self, net: Network):
@@ -206,20 +203,19 @@ class _CompiledNetwork:
         self.opening_ids = [link.id for link in slotted[len(cracks) : coupled]]
         self.fan_flow = np.array([m.flow_kg_s for m in models[coupled:]], dtype=float)
 
-        # Each opening's law arguments and Picard coefficient; an external end's
-        # density (None) is the outdoor air's, so `boundary` does those openings.
-        params = [(m.width_m, m.height_m, m.cd) for m in models[nc:coupled]]
+        # Each opening's (width, height, cd, rho_from, rho_to); an external
+        # end's density (None) is the outdoor air's, which `boundary` sets.
         rho = zone_rho.tolist() + [None] * len(net.external_nodes)
-        by_opening = [(p, rho[f], rho[t]) for p, f, t in zip(params, node_f[nc:], node_t[nc:])]
-        self.facade_openings = [(i, *o) for i, o in enumerate(by_opening) if None in o]
-        terms = [(None, None) if None in o else _opening_terms(*o) for o in by_opening]
-        self.opening_args, self.mid_k = [a for a, _ in terms], [k for _, k in terms]
+        self.openings = [
+            (m.width_m, m.height_m, m.cd, rho[f], rho[t])
+            for m, f, t in zip(models[nc:coupled], node_f[nc:], node_t[nc:])
+        ]
 
         # Every link end (see the class docstring): its column and z - ref, and
         # its offset; a zone end's is 0 - rho * g * (z - ref) for good, and an
         # external end's is set by `boundary` from its node's wind.
         elevation = np.array([link.elevation_m for link in slotted[:coupled]], dtype=float)
-        mid_z = elevation[nc:] + np.array([0.5 * h for _, h, _ in params])
+        mid_z = elevation[nc:] + np.array([0.5 * h for _, h, *_ in self.openings])
         open_ends = np.concatenate((node_f[nc:coupled], node_t[nc:coupled]))
         end_node = np.concatenate((node_f[:coupled], node_t[:coupled], open_ends))
         node_ref = np.array([z.ref_height_m for z in (*net.zones, *net.external_nodes)])
@@ -281,12 +277,11 @@ class _CompiledNetwork:
         ends[self.facade_ends] = wind.take(self.facade_node) - (rho_out * GRAVITY) * self.facade_dz
         coef = self.picard_sign.copy()
         coef[self.picard_rhs] *= ends.take(self.rhs_t) - ends.take(self.rhs_f)
-        args, mid_k = self.opening_args, self.mid_k
-        if self.facade_openings:
-            args, mid_k = args.copy(), mid_k.copy()
-            for i, params, *pair in self.facade_openings:
-                pair = [rho_out if rho is None else rho for rho in pair]
-                args[i], mid_k[i] = _opening_terms(params, *pair)
+        args = [
+            (w, h, cd, rho_out if rf is None else rf, rho_out if rt is None else rt)
+            for w, h, cd, rf, rt in self.openings
+        ]
+        mid_k = [cd * w * h * math.sqrt(2.0 * (0.5 * (rf + rt))) for w, h, cd, rf, rt in args]
         return _Boundary(bc=bc, ends=ends, picard_coef=coef, opening_args=args, mid_k=mid_k)
 
     def rows(self, *values) -> np.ndarray:
@@ -337,9 +332,6 @@ class _CompiledNetwork:
         g = powers[:nc]
         kgh = self.crack_kk * powers  # k*g, then k*h
         kg, kh = kgh[:nc], kgh[nc:]
-        inputs = [
-            (*args, dp_bottom) for args, dp_bottom in zip(b.opening_args, dp[nc:].tolist())
-        ]
         last = self._point = _Point(
             boundary=b,
             dp_lin=dp_lin,
@@ -349,8 +341,10 @@ class _CompiledNetwork:
             crack_lin=lin,
             crack_g=g,
             crack_kg=kg,
-            opening_inputs=inputs,
-            opening_flows=[large_opening_flow(*args, dp_lin) for args in inputs],
+            opening_flows=[
+                large_opening_flow(*args, dp_bottom, dp_lin)
+                for args, dp_bottom in zip(b.opening_args, dp[nc:].tolist())
+            ],
         )
         return last
 
@@ -386,7 +380,7 @@ def jacobian(
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
     cracks = np.where(at.crack_lin, at.crack_kg, c.crack_nk * at.crack_g)
-    openings = [large_opening_derivative(*args, dp_lin) for args in at.opening_inputs]
+    openings = [two_way.derivative for two_way in at.opening_flows]
     return c.matrix(cracks, openings)
 
 

@@ -3,9 +3,12 @@
 Each element provides its mass flow, the analytic derivative of that flow
 with respect to the driving pressure difference (for the Newton Jacobian),
 and, for cracks, a linearized conductance G such that flow = G * dP (for the
-fixed-point initializer).  The laws take floats.  `assembly` evaluates all
-the cracks of a network at once, in arrays, from the same C-library `pow`
-and the same products, so each array element has the bits of the float law.
+fixed-point initializer).  A large opening's law returns its derivative with
+its flows, from the same branch, so one call per opening and point serves
+the residual and the Jacobian.  The laws take floats.  `assembly` evaluates
+all the cracks of a network at once, in arrays, from the same C-library
+`pow` and the same products, so each array element has the bits of the
+float law.
 
 Sign convention: dP > 0 drives flow from the link's `from` side to its `to`
 side, and the returned flows are positive in that direction.
@@ -61,13 +64,15 @@ class TwoWayFlow(NamedTuple):
     `flow_reverse` the other way; both are >= 0.  `neutral_height` is the
     elevation above the opening's bottom edge where the local pressure
     difference crosses zero, when that elevation falls within the opening.
-    A named tuple, the cheapest record to build: every residual builds one
-    per opening.
+    `derivative` is d(net)/d(dp_bottom) for a large opening, None for a
+    crack or a fan.  A named tuple, the cheapest record to build: every
+    residual builds one per opening.
     """
 
     flow_forward: float
     flow_reverse: float
     neutral_height: float | None = None
+    derivative: float | None = None
 
     @property
     def net(self) -> float:
@@ -135,42 +140,60 @@ def large_opening_flow(
     crack so flow and derivative stay consistent for the Newton iteration.
     Upwind density follows the local flow direction.  Degenerate inputs
     produce zero flows rather than errors.
+
+    The result's `derivative` is d(net)/d(dp_bottom), from the closed-form
+    segments differentiated exactly, with edge pressure magnitudes floored
+    at dp_lin so it stays positive and bounded where the true derivative
+    would blow up (zero-dP edges).
     """
     gradient = GRAVITY * (rho_from - rho_to)  # -d(dP)/dz
     dp_mid = dp_bottom - 0.5 * gradient * height
 
     if gradient == 0.0 or abs(gradient) * height <= _STRATIFICATION_EPS * abs(dp_mid):
-        if dp_mid == 0.0:
-            return TwoWayFlow(0.0, 0.0, None)
-        rho_up = rho_from if dp_mid > 0 else rho_to
+        if dp_mid > 0:
+            rho_up = rho_from
+        elif dp_mid < 0:
+            rho_up = rho_to
+        else:
+            rho_up = 0.5 * (rho_from + rho_to)
         k_eq = cd * width * height * math.sqrt(2.0 * rho_up)
+        derivative = crack_derivative(k_eq, 0.5, dp_mid, dp_lin)
+        if dp_mid == 0.0:
+            return TwoWayFlow(0.0, 0.0, None, derivative)
         flow = crack_flow(k_eq, 0.5, dp_mid, dp_lin)
         if flow > 0:
-            return TwoWayFlow(flow, 0.0, None)
-        return TwoWayFlow(0.0, -flow, None)
+            return TwoWayFlow(flow, 0.0, None, derivative)
+        return TwoWayFlow(0.0, -flow, None, derivative)
 
     p_bot = dp_bottom
     p_top = dp_bottom - gradient * height
     z_neutral = dp_bottom / gradient
     coeff = 2.0 * cd * width / (3.0 * abs(gradient))
+    unit = cd * width
 
     def segment(p_a: float, p_b: float, rho: float) -> float:
         return coeff * math.sqrt(2.0 * rho) * abs(abs(p_a) ** 1.5 - abs(p_b) ** 1.5)
 
+    def edge(p_edge: float) -> float:
+        return math.sqrt(max(abs(p_edge), dp_lin))
+
     if 0.0 < z_neutral < height:
         # Neutral plane inside the opening: simultaneous two-way flow.
-        if p_bot > 0.0:
-            forward = segment(p_bot, 0.0, rho_from)
-            reverse = segment(0.0, p_top, rho_to)
-        else:
-            forward = segment(0.0, p_top, rho_from)
-            reverse = segment(p_bot, 0.0, rho_to)
-        return TwoWayFlow(forward, reverse, z_neutral)
+        rho_bot, rho_top = (rho_from, rho_to) if p_bot > 0.0 else (rho_to, rho_from)
+        bottom, top = segment(p_bot, 0.0, rho_bot), segment(0.0, p_top, rho_top)
+        forward, reverse = (bottom, top) if p_bot > 0.0 else (top, bottom)
+        d_bot = unit * math.sqrt(2.0 * rho_bot) * z_neutral / edge(p_bot)
+        d_top = unit * math.sqrt(2.0 * rho_top) * (height - z_neutral) / edge(p_top)
+        return TwoWayFlow(forward, reverse, z_neutral, d_bot + d_top)
 
     neutral = z_neutral if 0.0 <= z_neutral <= height else None
-    if p_bot >= 0.0 and p_top >= 0.0:
-        return TwoWayFlow(segment(p_bot, p_top, rho_from), 0.0, neutral)
-    return TwoWayFlow(0.0, segment(p_bot, p_top, rho_to), neutral)
+    positive = p_bot >= 0.0 and p_top >= 0.0
+    rho_up = rho_from if positive else rho_to
+    flow = segment(p_bot, p_top, rho_up)
+    derivative = unit * math.sqrt(2.0 * rho_up) * height / (edge(p_bot) + edge(p_top))
+    if positive:
+        return TwoWayFlow(flow, 0.0, neutral, derivative)
+    return TwoWayFlow(0.0, flow, neutral, derivative)
 
 
 def large_opening_derivative(
@@ -182,38 +205,5 @@ def large_opening_derivative(
     dp_bottom: float,
     dp_lin: float = DP_LIN_DEFAULT,
 ) -> float:
-    """Derivative of the net opening flow with respect to dp_bottom.
-
-    Differentiates the closed-form segments exactly; edge pressure
-    magnitudes are floored at dp_lin so the result stays positive and
-    bounded where the true derivative would blow up (zero-dP edges).
-    """
-    gradient = GRAVITY * (rho_from - rho_to)
-    dp_mid = dp_bottom - 0.5 * gradient * height
-
-    if gradient == 0.0 or abs(gradient) * height <= _STRATIFICATION_EPS * abs(dp_mid):
-        if dp_mid > 0:
-            rho_up = rho_from
-        elif dp_mid < 0:
-            rho_up = rho_to
-        else:
-            rho_up = 0.5 * (rho_from + rho_to)
-        k_eq = cd * width * height * math.sqrt(2.0 * rho_up)
-        return crack_derivative(k_eq, 0.5, dp_mid, dp_lin)
-
-    p_bot = dp_bottom
-    p_top = dp_bottom - gradient * height
-    z_neutral = dp_bottom / gradient
-    unit = cd * width
-
-    if 0.0 < z_neutral < height:
-        span_bot = z_neutral
-        span_top = height - z_neutral
-        rho_bot, rho_top = (rho_from, rho_to) if p_bot > 0.0 else (rho_to, rho_from)
-        d_bot = unit * math.sqrt(2.0 * rho_bot) * span_bot / math.sqrt(max(abs(p_bot), dp_lin))
-        d_top = unit * math.sqrt(2.0 * rho_top) * span_top / math.sqrt(max(abs(p_top), dp_lin))
-        return d_bot + d_top
-
-    rho_up = rho_from if (p_bot >= 0.0 and p_top >= 0.0) else rho_to
-    denom = math.sqrt(max(abs(p_bot), dp_lin)) + math.sqrt(max(abs(p_top), dp_lin))
-    return unit * math.sqrt(2.0 * rho_up) * height / denom
+    """d(net flow)/d(dp_bottom): `large_opening_flow(...).derivative`."""
+    return large_opening_flow(width, height, cd, rho_from, rho_to, dp_bottom, dp_lin).derivative

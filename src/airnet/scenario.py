@@ -46,6 +46,7 @@ __all__ = [
 log = logging.getLogger("airnet")
 
 WEATHER_HEADER = ("timestamp", "wind_speed_m_s", "wind_dir_deg", "temp_out_c")
+_WEATHER_START = datetime(2024, 1, 1)  # the first timestamp of a generated series
 
 
 class WeatherFormatError(ValueError):
@@ -168,18 +169,17 @@ def generate_weather(
     days: int = 10,
     step_minutes: int = 30,
     seed: int = 0,
-    start: datetime | None = None,
 ) -> list[WeatherRecord]:
-    """Synthetic weather series: sinusoidal diurnal temperature and a gusty,
-    slowly veering wind.  Deterministic for a given seed."""
+    """Synthetic weather series from 2024-01-01 00:00: sinusoidal diurnal
+    temperature and a gusty, slowly veering wind.  Deterministic for a given
+    seed."""
     if days < 1 or step_minutes < 1:
         raise ValueError("days and step_minutes must be >= 1")
-    start = start or datetime(2024, 1, 1)
     rng = np.random.default_rng(seed)
     count = days * 24 * 60 // step_minutes
     records = []
     for i in range(count):
-        stamp = start + timedelta(minutes=i * step_minutes)
+        stamp = _WEATHER_START + timedelta(minutes=i * step_minutes)
         hour = stamp.hour + stamp.minute / 60.0
         temp = 24.0 + 4.0 * math.sin(2.0 * math.pi * (hour - 9.0) / 24.0)
         temp += float(rng.normal(0.0, 0.4))

@@ -162,6 +162,45 @@ def random_boundary(rng: np.random.Generator) -> an.BoundaryState:
     )
 
 
+def reference_large_opening_derivative(width, height, cd, rho_from, rho_to, dp_bottom, dp_lin=DP_LIN):
+    """d(net opening flow)/d(dp_bottom) as first written, a second copy of the
+    opening law's branches (equivalent orifice, two-way, one-way) with edge
+    pressure magnitudes floored at dp_lin; the package returns the derivative
+    with the flows and must give these values bit for bit."""
+    gradient = G * (rho_from - rho_to)
+    dp_mid = dp_bottom - 0.5 * gradient * height
+
+    if gradient == 0.0 or abs(gradient) * height <= 1e-6 * abs(dp_mid):
+        if dp_mid > 0:
+            rho_up = rho_from
+        elif dp_mid < 0:
+            rho_up = rho_to
+        else:
+            rho_up = 0.5 * (rho_from + rho_to)
+        k_eq = cd * width * height * math.sqrt(2.0 * rho_up)
+        # The crack law's slope at exponent 1/2, linearized below dp_lin.
+        if abs(dp_mid) < dp_lin:
+            return k_eq * dp_lin ** (0.5 - 1.0)
+        return 0.5 * k_eq * abs(dp_mid) ** (0.5 - 1.0)
+
+    p_bot = dp_bottom
+    p_top = dp_bottom - gradient * height
+    z_neutral = dp_bottom / gradient
+    unit = cd * width
+
+    if 0.0 < z_neutral < height:
+        span_bot = z_neutral
+        span_top = height - z_neutral
+        rho_bot, rho_top = (rho_from, rho_to) if p_bot > 0.0 else (rho_to, rho_from)
+        d_bot = unit * math.sqrt(2.0 * rho_bot) * span_bot / math.sqrt(max(abs(p_bot), dp_lin))
+        d_top = unit * math.sqrt(2.0 * rho_top) * span_top / math.sqrt(max(abs(p_top), dp_lin))
+        return d_bot + d_top
+
+    rho_up = rho_from if (p_bot >= 0.0 and p_top >= 0.0) else rho_to
+    denom = math.sqrt(max(abs(p_bot), dp_lin)) + math.sqrt(max(abs(p_top), dp_lin))
+    return unit * math.sqrt(2.0 * rho_up) * height / denom
+
+
 class LoopAssembly(NamedTuple):
     residual: np.ndarray
     jacobian: np.ndarray
@@ -211,7 +250,7 @@ def loop_assembly(net: an.Network, p, bc: an.BoundaryState, dp_lin: float = DP_L
         else:
             args = (model.width_m, model.height_m, model.cd, rho_f, rho_t, dp, dp_lin)
             flow = an.large_opening_flow(*args)
-            d = an.large_opening_derivative(*args)
+            d = reference_large_opening_derivative(*args)
             if flow.bidirectional and reciprocal is None:
                 reciprocal = link.id
             z = link.elevation_m + 0.5 * model.height_m

@@ -75,6 +75,8 @@ def test_boundary_pressure_direction_wraps():
 
 def test_boundary_state_normalizes_direction():
     assert an.BoundaryState(1.0, 405.0, 290.0).wind_direction_deg == pytest.approx(45.0)
+    # -1e-20 % 360.0 rounds to 360.0, outside [0, 360).
+    assert an.BoundaryState(3.0, -1e-20, 290.0).wind_direction_deg == 0.0
     with pytest.raises(ValueError):
         an.BoundaryState(-1.0, 0.0, 290.0)
 

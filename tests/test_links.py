@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import airnet as an
 from airnet.links import DP_LIN_DEFAULT
-from helpers import oracle_opening_quadrature
+from helpers import oracle_opening_quadrature, reference_large_opening_derivative
 
 # Independent ideal-gas oracle: 101325 Pa, M = 0.028966 kg/mol, R = 8.314.
 IDEAL_GAS = lambda t: 101325.0 * 0.028966 / (8.314 * t)
@@ -286,3 +286,65 @@ def test_opening_derivative_matches_finite_difference():
         assert analytic == pytest.approx(fd, rel=1e-5)
         assert analytic > 0
         checked += 1
+
+
+def opening_branch(width, height, cd, rho_from, rho_to, dp, dp_lin):
+    """Which branch of the opening law a state takes, and whether a stratified
+    state has an edge pressure below dp_lin."""
+    gradient = an.GRAVITY * (rho_from - rho_to)
+    dp_mid = dp - 0.5 * gradient * height
+    if math.isnan(dp):
+        return "nan", False
+    if gradient == 0.0:
+        return ("dp_mid zero" if dp_mid == 0.0 else "equal densities"), False
+    if abs(gradient) * height <= 1e-6 * abs(dp_mid):
+        return "stratification band", False
+    p_top = dp - gradient * height
+    small_edge = min(abs(dp), abs(p_top)) < dp_lin
+    if 0.0 < dp / gradient < height:
+        return ("two-way, p_bot > 0" if dp > 0.0 else "two-way, p_bot < 0"), small_edge
+    return ("one-way forward" if dp >= 0.0 and p_top >= 0.0 else "one-way reverse"), small_edge
+
+
+@pytest.mark.parametrize("dp_lin", [DP_LIN_DEFAULT, 0.05])
+def test_opening_derivative_is_the_reference_bit_for_bit(dp_lin):
+    # The law returns its derivative with its flows; that value must be the
+    # separately written derivative's, bit for bit, on every branch.
+    rng = np.random.default_rng(97)
+    seen = set()
+    for _ in range(400):
+        w, h, cd = rng.uniform(0.3, 2.5), rng.uniform(0.4, 2.6), rng.uniform(0.25, 1.0)
+        rho_f, rho_t = (353.05 / rng.uniform(250.0, 350.0, 2)).tolist()
+        gradient = an.GRAVITY * (rho_f - rho_t)
+        sign = float(rng.choice([-1.0, 1.0]))
+        states = [
+            (rho_f, rho_f, sign * rng.uniform(0.0, 8.0)),
+            (rho_f, rho_f, sign * 0.0),
+            (rho_f, rho_f * (1.0 + rng.uniform(-1e-9, 1e-9)), sign * rng.uniform(1.0, 8.0)),
+            (rho_f, rho_t, rng.uniform(0.02, 0.98) * h * gradient),
+            (rho_t, rho_f, -rng.uniform(0.02, 0.98) * h * gradient),
+            (rho_f, rho_t, rng.choice([-1.0, 2.0]) * rng.uniform(0.05, 3.0) * h * gradient),
+            (rho_f, rho_t, rng.uniform(-1.0, 1.0) * dp_lin),
+            (rho_f, rho_t, gradient * h + rng.uniform(-1.0, 1.0) * dp_lin),
+            (rho_f, rho_t, math.nan),
+        ]
+        for rho_a, rho_b, dp in states:
+            args = (w, h, cd, rho_a, rho_b, float(dp), dp_lin)
+            branch, small_edge = opening_branch(*args)
+            seen.add(branch)
+            if small_edge:
+                seen.add("edge below dp_lin")
+            derivative = an.large_opening_flow(*args).derivative
+            assert derivative.hex() == reference_large_opening_derivative(*args).hex()
+            assert math.isnan(derivative) == (branch == "nan")
+    assert seen == {
+        "equal densities",
+        "dp_mid zero",
+        "stratification band",
+        "two-way, p_bot > 0",
+        "two-way, p_bot < 0",
+        "one-way forward",
+        "one-way reverse",
+        "edge below dp_lin",
+        "nan",
+    }

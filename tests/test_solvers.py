@@ -348,9 +348,12 @@ def test_one_residual_per_iterate(monkeypatch, strategy):
 def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
     # The Jacobian and the Picard system read the links the residual evaluated
     # at the same pressures: one opening-law call and one pow per crack
-    # exponent per residual.  They call no crack law and no pow; the Picard
-    # system takes only each opening's mid-height conductance.
-    calls = dict.fromkeys(["residual", "opening", "pow", "crack law", "conductance"], 0)
+    # exponent per residual.  They call no crack law and no pow; the Jacobian
+    # takes each opening's derivative from that call's result, never from
+    # the separate derivative law, and the Picard system takes only each
+    # opening's mid-height conductance.
+    names = ["residual", "opening", "opening derivative", "pow", "crack law", "conductance"]
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -373,6 +376,11 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
 
     monkeypatch.setattr(solvers, "residual", counted("residual", solvers.residual))
     monkeypatch.setattr(assembly, "large_opening_flow", counted("opening", assembly.large_opening_flow))
+    monkeypatch.setattr(
+        assembly,
+        "large_opening_derivative",
+        counted("opening derivative", assembly.large_opening_derivative),
+    )
     monkeypatch.setattr(assembly, "pow", counted("pow", pow), raising=False)
     for law in ("crack_flow", "crack_derivative"):
         monkeypatch.setattr(assembly, law, counted("crack law", getattr(assembly, law)))
@@ -389,6 +397,7 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
         assert calls["opening"] == calls["residual"]
         assert calls["pow"] == 2 * cracks * calls["residual"]
         assert calls["crack law"] == 0
+        assert calls["opening derivative"] == 0
         p = out.pressures
 
 
