@@ -12,6 +12,10 @@ boundary state, this module produces:
 
 Stack pressures use a constant density per node column between the node's
 reference height and the link elevation.
+
+The cracks, and the large openings between zones of exactly equal density,
+whose law is then the crack law with exponent 1/2, are evaluated in one
+array pass; every other large opening takes one call of its law per point.
 """
 
 from __future__ import annotations
@@ -108,6 +112,12 @@ def boundary_pressure(node: ExternalNode, bc: BoundaryState) -> float:
     return 0.5 * rho_out * cp * bc.wind_speed**2
 
 
+def _orifice_k(width: float, height: float, cd: float, rho: float) -> float:
+    """The flow coefficient cd * W * H * sqrt(2 * rho) of an opening taken as
+    one orifice, in the order the opening law computes it."""
+    return cd * width * height * math.sqrt(2.0 * rho)
+
+
 # ---------------------------------------------------------------------------
 # the compiled network
 
@@ -129,7 +139,7 @@ class _Boundary(NamedTuple):
     bc: BoundaryState
     ends: np.ndarray
     picard_coef: np.ndarray  # the factor of each Picard term (see _CompiledNetwork)
-    opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per opening
+    opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per non-orifice opening
     mid_k: list[float]  # each opening's Picard flow coefficient cd*W*H*sqrt(2*rho_mean)
 
 
@@ -142,18 +152,23 @@ class _Point(NamedTuple):
     dp_lin: float
     key: bytes  # the pressures as float64
     ends: np.ndarray
-    crack_flows: np.ndarray
+    crack_flows: np.ndarray  # the cracks', then the orifices'
     crack_lin: np.ndarray  # |dp| < dp_lin
     crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
     crack_kg: np.ndarray  # k * crack_g: the flow per Pa in the linear band
-    opening_flows: list[TwoWayFlow]  # each with its derivative
+    opening_flows: list[TwoWayFlow]  # each non-orifice opening's, with its derivative
 
 
 class _CompiledNetwork:
     """Index and parameter arrays of one network.
 
-    Links sit in slots grouped by type: cracks, then large openings, then
-    fans, each group in link order.  Cracks and openings couple their two end
+    Links sit in slots grouped by type: cracks, then orifices, then the other
+    large openings, then fans, each group in link order.  An orifice is a
+    large opening between two zones of exactly equal density: there the
+    law's gradient is 0.0 and its dp_mid is dp_bottom - 0.0, which is
+    dp_bottom, as a zone-to-zone dp is never -0.0, so the law is the crack
+    law at k = cd*W*H*sqrt(2*rho), n = 1/2, and the crack pass evaluates the
+    orifice with the law's bits.  Cracks and openings couple their two end
     pressures; fans do not.  Every zone balance and matrix entry is one
     np.bincount whose terms are gathered back into link order, `from` end
     before `to` end, so each sum is added up in the same order, with the same
@@ -162,11 +177,12 @@ class _CompiledNetwork:
 
     The ends of the coupled links sit in one array: the from ends at each
     link's elevation, then the to ends there, then the from and then the to
-    ends at each opening's mid-height, where Picard takes it as one orifice.
-    `boundary` computes what the weather sets: the offsets of the ends at
-    external nodes, every opening's law arguments and Picard coefficient
-    (an end at an external node takes the outdoor density), and the Picard
-    rhs terms.
+    ends at each opening's mid-height, where Picard takes it as one orifice;
+    an orifice's Picard term, too, is at its mid-height.  `boundary`
+    computes what the weather sets: the offsets of the ends at external
+    nodes, the law arguments of every opening but the orifices and every
+    opening's Picard coefficient (an end at an external node takes the
+    outdoor density), and the Picard rhs terms.
     """
 
     def __init__(self, net: Network):
@@ -179,44 +195,59 @@ class _CompiledNetwork:
         def of_type(kind) -> list[int]:
             return [i for i, link in enumerate(net.links) if isinstance(link.model, kind)]
 
-        cracks, openings, fans = of_type(Crack), of_type(LargeOpening), of_type(Fan)
-        slotted = [net.links[i] for i in cracks + openings + fans]
-        self.ids = [link.id for link in net.links]
-        nc, coupled = len(cracks), len(cracks) + len(openings)
-        self.n_cracks = nc
-
         node = {z.id: i for i, z in enumerate(net.zones)}
         node.update({e.id: n + j for j, e in enumerate(net.external_nodes)})
+        # An external end's density (None) is the outdoor air's, which
+        # `boundary` sets.
+        rho = zone_rho.tolist() + [None] * len(net.external_nodes)
+
+        def orifice(i: int) -> bool:
+            """Whether link i joins two zones of exactly equal density."""
+            link = net.links[i]
+            rho_f = rho[node[link.from_node]]
+            return rho_f is not None and rho_f == rho[node[link.to_node]]
+
+        cracks, large, fans = of_type(Crack), of_type(LargeOpening), of_type(Fan)
+        orifices = [i for i in large if orifice(i)]
+        openings = [i for i in large if not orifice(i)]
+        order = cracks + orifices + openings + fans
+        slotted = [net.links[i] for i in order]
+        self.ids = [link.id for link in net.links]
+        nk, nc = len(cracks), len(cracks) + len(orifices)
+        coupled = nc + len(openings)
+        self.n_cracks = nc
+        self.orifice_slots = slice(nk, nc)
+
         node_f = np.array([node[link.from_node] for link in slotted], dtype=np.intp)
         node_t = np.array([node[link.to_node] for link in slotted], dtype=np.intp)
         col_f, col_t = np.minimum(node_f, n), np.minimum(node_t, n)
 
         models = [link.model for link in slotted]
-        self.crack_k = np.array([m.k for m in models[: len(cracks)]], dtype=float)
-        self.crack_n = np.array([m.n for m in models[: len(cracks)]], dtype=float)
+        # Each opening's (width, height, cd, rho_from, rho_to), orifices first.
+        self.openings = [
+            (m.width_m, m.height_m, m.cd, rho[f], rho[t])
+            for m, f, t in zip(models[nk:coupled], node_f[nk:], node_t[nk:])
+        ]
+        self.orifices = self.openings[: nc - nk]
+        # An orifice's k is the law's cd * W * H * sqrt(2 * rho), in its order.
+        orifice_k = [_orifice_k(w, h, cd, rho_f) for w, h, cd, rho_f, _ in self.orifices]
+        self.crack_k = np.array([m.k for m in models[:nk]] + orifice_k, dtype=float)
+        self.crack_n = np.array([m.n for m in models[:nk]] + [0.5] * (nc - nk), dtype=float)
         self.crack_nk = self.crack_n * self.crack_k
         self.crack_kk = np.tile(self.crack_k, 2)  # one k per crack power below
         # One pass of the C library's pow, as the float laws call it, gives
         # max(|dp|, dp_lin) ** (n - 1) and then ** n for every crack; np.power
         # may round differently in the last bit.
         self.crack_exponents = (self.crack_n - 1.0).tolist() + self.crack_n.tolist()
-        self.opening_ids = [link.id for link in slotted[len(cracks) : coupled]]
+        self.opening_ids = [link.id for link in slotted[nc:coupled]]
         self.fan_flow = np.array([m.flow_kg_s for m in models[coupled:]], dtype=float)
-
-        # Each opening's (width, height, cd, rho_from, rho_to); an external
-        # end's density (None) is the outdoor air's, which `boundary` sets.
-        rho = zone_rho.tolist() + [None] * len(net.external_nodes)
-        self.openings = [
-            (m.width_m, m.height_m, m.cd, rho[f], rho[t])
-            for m, f, t in zip(models[nc:coupled], node_f[nc:], node_t[nc:])
-        ]
 
         # Every link end (see the class docstring): its column and z - ref, and
         # its offset; a zone end's is 0 - rho * g * (z - ref) for good, and an
         # external end's is set by `boundary` from its node's wind.
         elevation = np.array([link.elevation_m for link in slotted[:coupled]], dtype=float)
-        mid_z = elevation[nc:] + np.array([0.5 * h for _, h, *_ in self.openings])
-        open_ends = np.concatenate((node_f[nc:coupled], node_t[nc:coupled]))
+        mid_z = elevation[nk:] + np.array([0.5 * h for _, h, *_ in self.openings])
+        open_ends = np.concatenate((node_f[nk:coupled], node_t[nk:coupled]))
         end_node = np.concatenate((node_f[:coupled], node_t[:coupled], open_ends))
         node_ref = np.array([z.ref_height_m for z in (*net.zones, *net.external_nodes)])
         end_dz = np.concatenate((elevation, elevation, mid_z, mid_z)) - node_ref[end_node]
@@ -225,12 +256,12 @@ class _CompiledNetwork:
         facade = self.facade_ends = end_node >= n
         self.facade_node, self.facade_dz = end_node[facade] - n, end_dz[facade]
         self.at_f, self.at_t = slice(0, coupled), slice(coupled, 2 * coupled)
-        self.mid_f, self.mid_t = slice(2 * coupled, 3 * coupled - nc), slice(3 * coupled - nc, None)
+        self.mid_f, self.mid_t = slice(2 * coupled, 3 * coupled - nk), slice(3 * coupled - nk, None)
 
         # Zone balances: the n base values, then each link's from and to terms
         # in link order, each gathered from n + the link's slot.
         slot_of = np.empty(len(slotted), dtype=np.intp)
-        slot_of[cracks + openings + fans] = np.arange(len(slotted))
+        slot_of[order] = np.arange(len(slotted))
         self.slot_of = slot_of.tolist()
         self.row_index = np.concatenate(
             (np.arange(n), np.column_stack((col_f[slot_of], col_t[slot_of])).ravel())
@@ -265,8 +296,8 @@ class _CompiledNetwork:
         # where Picard takes dp: a crack's elevation, an opening's mid-height.
         self.picard_rhs = np.flatnonzero(self.picard_gather >= n + nf)[4 * coupled :]
         s = self.picard_gather[self.picard_rhs] - (n + nf)
-        self.rhs_f = np.where(s < nc, s, s + 2 * coupled - nc)
-        self.rhs_t = self.rhs_f + np.where(s < nc, coupled, coupled - nc)
+        self.rhs_f = np.where(s < nk, s, s + 2 * coupled - nk)
+        self.rhs_t = self.rhs_f + np.where(s < nk, coupled, coupled - nk)
         self._point: _Point | None = None
 
     def boundary(self, bc: BoundaryState) -> _Boundary:
@@ -281,8 +312,9 @@ class _CompiledNetwork:
             (w, h, cd, rho_out if rf is None else rf, rho_out if rt is None else rt)
             for w, h, cd, rf, rt in self.openings
         ]
-        mid_k = [cd * w * h * math.sqrt(2.0 * (0.5 * (rf + rt))) for w, h, cd, rf, rt in args]
-        return _Boundary(bc=bc, ends=ends, picard_coef=coef, opening_args=args, mid_k=mid_k)
+        mid_k = [_orifice_k(w, h, cd, 0.5 * (rf + rt)) for w, h, cd, rf, rt in args]
+        opening_args = args[len(self.orifices) :]
+        return _Boundary(bc=bc, ends=ends, picard_coef=coef, opening_args=opening_args, mid_k=mid_k)
 
     def rows(self, *values) -> np.ndarray:
         """The mechanical flow per zone, minus each link's value in its from
@@ -399,7 +431,14 @@ def link_flows(
     def one_way(flows: np.ndarray) -> list[TwoWayFlow]:
         return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows.tolist()]
 
-    slotted = one_way(at.crack_flows) + at.opening_flows + one_way(c.fan_flow)
+    # An orifice's flows come from the law, which gives its whole TwoWayFlow.
+    orifice_dp = at.ends[c.at_f][c.orifice_slots] - at.ends[c.at_t][c.orifice_slots]
+    orifices = [
+        large_opening_flow(*args, dp_bottom, dp_lin)
+        for args, dp_bottom in zip(c.orifices, orifice_dp.tolist())
+    ]
+    cracks = one_way(at.crack_flows[: c.orifice_slots.start])
+    slotted = cracks + orifices + at.opening_flows + one_way(c.fan_flow)
     return {link_id: slotted[slot] for link_id, slot in zip(c.ids, c.slot_of)}
 
 
@@ -429,7 +468,7 @@ def picard_system(
     openings = [
         crack_conductance(k, 0.5, dp, dp_lin) for k, dp in zip(b.mid_k, mid_dp.tolist())
     ]
-    values = np.concatenate((c.neg_mech_fans, at.crack_kg, openings))
+    values = np.concatenate((c.neg_mech_fans, at.crack_kg[: c.orifice_slots.start], openings))
     n = c.n
     summed = np.bincount(c.picard_index, values.take(c.picard_gather) * b.picard_coef)
     return LinearSystem(matrix=summed[: n * n].reshape(n, n), rhs=summed[n * n : n * n + n])

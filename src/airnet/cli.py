@@ -365,8 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("AIRNET_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
+    # Only a level name is honoured: for any other value getLevelName gives
+    # back a string, and the level stays at warning.
+    level = logging.getLevelName(os.environ.get("AIRNET_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)

@@ -8,7 +8,10 @@ its flows, from the same branch, so one call per opening and point serves
 the residual and the Jacobian.  The laws take floats.  `assembly` evaluates
 all the cracks of a network at once, in arrays, from the same C-library
 `pow` and the same products, so each array element has the bits of the
-float law.
+float law.  With them it evaluates each large opening between zones of
+exactly equal density: there `large_opening_flow` always takes its
+unstratified branch, which is the crack law at exponent 1/2 with
+k = cd*W*H*sqrt(2*rho).
 
 Sign convention: dP > 0 drives flow from the link's `from` side to its `to`
 side, and the returned flows are positive in that direction.

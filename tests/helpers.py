@@ -154,6 +154,41 @@ def random_crack_network(rng: np.random.Generator, n_zones: int | None = None) -
     return net
 
 
+def many_openings_network():
+    """Four large openings at different elevations and heights, the first
+    listed before any crack and a fan between two of them.  Zones a, b and c
+    share a temperature and differ in reference height, so the openings among
+    them are orifices, never two-way, and the Picard system is built unless
+    the one to d, the only one whose law sees a density difference, is
+    two-way."""
+    links = [
+        an.Link("ab", "a", "b", 0.0, an.LargeOpening(0.9, 2.1)),
+        an.Link("na", "n", "a", 0.6, an.Crack(0.008, 0.65)),
+        an.Link("bc", "b", "c", 1.1, an.LargeOpening(0.6, 0.7, cd=0.65)),
+        an.Link("fan", "s", "c", 1.5, an.Fan(0.004)),
+        an.Link("ca", "c", "a", 2.4, an.LargeOpening(1.2, 0.4)),
+        an.Link("cd", "c", "d", 0.5, an.LargeOpening(0.8, 2.0)),
+        an.Link("bs", "b", "s", 2.0, an.Crack(0.005, 0.6)),
+        an.Link("dn", "d", "n", 5.2, an.Crack(0.006, 0.55)),
+        an.Link("ds", "d", "s", 4.1, an.Crack(0.004, 0.7)),
+    ]
+    net = an.Network(
+        zones=(
+            an.Zone("a", 293.0, 0.0),
+            an.Zone("b", 293.0, 1.2),
+            an.Zone("c", 293.0, 0.5, mech_flow_kg_s=-0.003),
+            an.Zone("d", 303.0, 0.5),
+        ),
+        external_nodes=(
+            an.ExternalNode("n", 0.5, (0.6, 0.4, -0.2, -0.5, -0.6, -0.5, -0.2, 0.4)),
+            an.ExternalNode("s", 3.0, (-0.5, -0.2, 0.4, 0.6, 0.4, -0.2, -0.5, -0.6)),
+        ),
+        links=tuple(links),
+    )
+    assert an.validate(net) == []
+    return net
+
+
 def random_boundary(rng: np.random.Generator) -> an.BoundaryState:
     return an.BoundaryState(
         wind_speed=float(rng.uniform(0, 8)),

@@ -14,6 +14,7 @@ import airnet as an
 from airnet.scenario import boundary_from_record
 from helpers import (
     loop_assembly,
+    many_openings_network,
     oracle_link_dp,
     oracle_residual,
     random_boundary,
@@ -393,39 +394,6 @@ def mixed_network(with_door=True):
     return net
 
 
-def many_openings_network():
-    """Four large openings at different elevations and heights, the first
-    listed before any crack and a fan between two of them.  Zones a, b and c
-    share a temperature, so the openings among them are never two-way and
-    the Picard system is built unless the one to d is two-way."""
-    links = [
-        an.Link("ab", "a", "b", 0.0, an.LargeOpening(0.9, 2.1)),
-        an.Link("na", "n", "a", 0.6, an.Crack(0.008, 0.65)),
-        an.Link("bc", "b", "c", 1.1, an.LargeOpening(0.6, 0.7, cd=0.65)),
-        an.Link("fan", "s", "c", 1.5, an.Fan(0.004)),
-        an.Link("ca", "c", "a", 2.4, an.LargeOpening(1.2, 0.4)),
-        an.Link("cd", "c", "d", 0.5, an.LargeOpening(0.8, 2.0)),
-        an.Link("bs", "b", "s", 2.0, an.Crack(0.005, 0.6)),
-        an.Link("dn", "d", "n", 5.2, an.Crack(0.006, 0.55)),
-        an.Link("ds", "d", "s", 4.1, an.Crack(0.004, 0.7)),
-    ]
-    net = an.Network(
-        zones=(
-            an.Zone("a", 293.0, 0.0),
-            an.Zone("b", 293.0, 1.2),
-            an.Zone("c", 293.0, 0.5, mech_flow_kg_s=-0.003),
-            an.Zone("d", 303.0, 0.5),
-        ),
-        external_nodes=(
-            an.ExternalNode("n", 0.5, (0.6, 0.4, -0.2, -0.5, -0.6, -0.5, -0.2, 0.4)),
-            an.ExternalNode("s", 3.0, (-0.5, -0.2, 0.4, 0.6, 0.4, -0.2, -0.5, -0.6)),
-        ),
-        links=tuple(links),
-    )
-    assert an.validate(net) == []
-    return net
-
-
 def facade_windows_network():
     """Two zones at 297 K and 301 K with a window from the facade into one and
     a window from the other out to the facade, a door between them, a crack
@@ -680,6 +648,35 @@ def test_pressures_of_another_shape_are_refused_by_their_shape(p):
             an.solve(net, bc, p, strategy)
 
 
+def hex_fields(flow: an.TwoWayFlow) -> list:
+    """The net flow and every field of a TwoWayFlow, floats as float.hex."""
+    return [None if v is None else float(v).hex() for v in (flow.net, *flow)]
+
+
+def matches_the_loop(net, p, bc, dp_lin) -> bool:
+    """Assert that the array assembly gives the link loop's residual,
+    Jacobian, Picard system and link flows bit for bit; True when the loop
+    found a reciprocal opening and the Picard system was refused for it."""
+    loop = loop_assembly(net, p, bc, dp_lin)
+    assert an.residual(net, p, bc, dp_lin).tobytes() == loop.residual.tobytes()
+    assert an.jacobian(net, p, bc, dp_lin).tobytes() == loop.jacobian.tobytes()
+    if isinstance(loop.picard, str):
+        with pytest.raises(an.ReciprocalFlowError) as err:
+            an.picard_system(net, p, bc, dp_lin)
+        assert err.value.link_id == loop.picard
+    else:
+        system = an.picard_system(net, p, bc, dp_lin)
+        assert system.matrix.tobytes() == loop.picard[0].tobytes()
+        assert system.rhs.tobytes() == loop.picard[1].tobytes()
+    flows = an.link_flows(net, p, bc, dp_lin)
+    assert list(flows) == [link.id for link in net.links]
+    for link_id, flow in flows.items():
+        # Every field, an opening's derivative too, and the sign of a zero.
+        two_way = loop.flows[link_id]
+        assert hex_fields(flow) == hex_fields(two_way), link_id
+    return isinstance(loop.picard, str)
+
+
 @pytest.mark.parametrize("dp_lin", [1e-3, 0.5])
 def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
     rng = np.random.default_rng(13)
@@ -692,26 +689,69 @@ def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
         for _ in range(6):
             bc = random_boundary(rng)
             p = rng.uniform(-10, 10, len(net.zones)) * rng.choice([1.0, 1e-4])
-            loop = loop_assembly(net, p, bc, dp_lin)
-            assert an.residual(net, p, bc, dp_lin).tobytes() == loop.residual.tobytes()
-            assert an.jacobian(net, p, bc, dp_lin).tobytes() == loop.jacobian.tobytes()
-            if isinstance(loop.picard, str):
-                reciprocal += 1
-                with pytest.raises(an.ReciprocalFlowError) as err:
-                    an.picard_system(net, p, bc, dp_lin)
-                assert err.value.link_id == loop.picard
-            else:
-                system = an.picard_system(net, p, bc, dp_lin)
-                assert system.matrix.tobytes() == loop.picard[0].tobytes()
-                assert system.rhs.tobytes() == loop.picard[1].tobytes()
-            flows = an.link_flows(net, p, bc, dp_lin)
-            assert list(flows) == [link.id for link in net.links]
-            for link_id, flow in flows.items():
-                two_way = loop.flows[link_id]
-                assert (flow.net, flow.flow_forward, flow.flow_reverse, flow.neutral_height) == (
-                    two_way.net, two_way.flow_forward, two_way.flow_reverse, two_way.neutral_height
-                )
+            reciprocal += matches_the_loop(net, p, bc, dp_lin)
     assert reciprocal > 0
+
+
+def door_network(temp_b: float) -> an.Network:
+    """Zone a at 296 K and zone b at temp_b, both referenced at the floor and
+    joined by a door there, so the door's dp is exactly p_a - p_b; a crack
+    joins each zone to the facade."""
+    cp = (0.6, 0.4, -0.2, -0.5, -0.6, -0.5, -0.2, 0.4)
+    net = an.Network(
+        zones=(an.Zone("a", 296.0, 0.0), an.Zone("b", temp_b, 0.0)),
+        external_nodes=(an.ExternalNode("n", 0.5, cp), an.ExternalNode("s", 3.0, cp[::-1])),
+        links=(
+            an.Link("na", "n", "a", 0.6, an.Crack(0.008, 0.65)),
+            an.Link("door", "a", "b", 0.0, an.LargeOpening(0.9, 2.1)),
+            an.Link("bs", "b", "s", 2.0, an.Crack(0.005, 0.6)),
+        ),
+    )
+    assert an.validate(net) == []
+    return net
+
+
+# The door between zones of one temperature, and between zones one ulp apart,
+# whose densities differ, so that its law sees a density difference.
+DOOR_TEMPERATURES = {"equal": 296.0, "one ulp apart": math.nextafter(296.0, math.inf)}
+
+
+@pytest.mark.parametrize("temps", DOOR_TEMPERATURES)
+def test_only_an_opening_between_equal_densities_is_taken_as_a_crack(monkeypatch, temps):
+    net = door_network(DOOR_TEMPERATURES[temps])
+    equal = temps == "equal"
+    rho_a, rho_b = (an.air_density(z.temperature_k) for z in net.zones)
+    assert (rho_a == rho_b) == equal
+    calls = []
+
+    def law(*args):
+        calls.append(args)
+        return an.large_opening_flow(*args)
+
+    monkeypatch.setattr(an.assembly, "large_opening_flow", law)
+    bc = an.BoundaryState(3.0, 30.0, 283.0)
+    p = np.array([0.5, -0.25])
+    an.residual(net, p, bc)
+    an.jacobian(net, p, bc)
+    assert len(calls) == (0 if equal else 1)
+    # Flows on request are the law's for every opening: the equal-density
+    # door's from a call made now, the other's from the residual's call.
+    assert an.link_flows(net, p, bc)["door"] == an.large_opening_flow(0.9, 2.1, 0.6, rho_a, rho_b, 0.75)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dp_lin", [1e-3, 0.5])
+@pytest.mark.parametrize("temps", DOOR_TEMPERATURES)
+def test_door_between_equal_densities_matches_the_link_loop_at_its_edges(temps, dp_lin):
+    # At zero, at both sides of the linear band's edges and at the extremes
+    # of the door's dp, the crack pass gives what the opening law gives.
+    net = door_network(DOOR_TEMPERATURES[temps])
+    bc = an.BoundaryState(3.0, 30.0, 283.0)
+    edges = [dp_lin, math.nextafter(dp_lin, 0.0), math.nextafter(dp_lin, math.inf)]
+    for dp in [0.0] + [sign * x for x in edges + [1e-300, 1e300] for sign in (1.0, -1.0)]:
+        p = np.array([dp, 0.0])
+        assert p[0] - p[1] == dp
+        matches_the_loop(net, p, bc, dp_lin)
 
 
 @pytest.mark.parametrize(

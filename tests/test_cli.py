@@ -3,6 +3,9 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -407,3 +410,30 @@ def test_output_files_get_the_mode_open_would_give(capsys, tmp_path):
     finally:
         os.umask(old_umask)
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# logging
+
+
+@pytest.mark.parametrize("value, shown", [("info", True), ("basic_format", False), ("no_such_level", False)])
+def test_airnet_log_honours_level_names_only(capsys, tmp_path, value, shown):
+    # A fresh interpreter: in this one the test runner's handlers on the root
+    # logger would make the CLI's logging.basicConfig do nothing.  A value that
+    # is not a level name, even one that names another attribute of the
+    # logging module, leaves the level at warning.
+    weather = tmp_path / "w.csv"
+    main(["gen-weather", "--days", "1", "--step-min", "360", "--out", str(weather)])
+    capsys.readouterr()
+    src = str(Path(an.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "airnet.cli", "compare", "--network", TWO_CRACK,
+         "--weather", str(weather), "--strategies", "nr", "wm", "--out", str(tmp_path / "cmp")],
+        env={**os.environ, "AIRNET_LOG": value, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ("running NR over 4 timesteps\nrunning WM over 4 timesteps\n" if shown else "")

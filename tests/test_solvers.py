@@ -12,7 +12,7 @@ import airnet as an
 from airnet import assembly, solvers
 from airnet.scenario import boundary_from_record
 from airnet.solvers import walton_relaxation
-from helpers import random_boundary, random_crack_network
+from helpers import many_openings_network, random_boundary, random_crack_network
 
 # facade at 10 Pa with v = 5: 0.5 * 1.25 * 0.64 * 25 = 10 (rho exact at 282.44 K)
 BC10 = an.BoundaryState(5.0, 0.0, 282.44)
@@ -344,16 +344,32 @@ def test_one_residual_per_iterate(monkeypatch, strategy):
         p = out.pressures
 
 
+def equal_density_openings(net: an.Network) -> int:
+    """How many large openings join two zones of exactly equal air density."""
+    rho = {z.id: an.air_density(z.temperature_k) for z in net.zones}
+    return sum(
+        isinstance(link.model, an.LargeOpening)
+        and link.from_node in rho
+        and rho[link.from_node] == rho.get(link.to_node)
+        for link in net.links
+    )
+
+
 @pytest.mark.parametrize("strategy", an.STRATEGIES)
 def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
-    # The Jacobian and the Picard system read the links the residual evaluated
-    # at the same pressures: one opening-law call and one pow per crack
-    # exponent per residual.  They call no crack law and no pow; the Jacobian
-    # takes each opening's derivative from that call's result, never from
-    # the separate derivative law, and the Picard system takes only each
-    # opening's mid-height conductance.
-    names = ["residual", "opening", "opening derivative", "pow", "crack law", "conductance"]
+    # Each residual evaluates every coupled link once at its pressures: one
+    # opening-law call per opening with a density difference or an outdoor
+    # end, and two pows, max(|dp|, dp_lin) ** (n - 1) and then ** n, per crack
+    # and per opening between zones of equal density, which is a crack of
+    # exponent 1/2.  The Jacobian and the Picard system read what the residual
+    # evaluated: they call no pow and no law, and the Picard system takes one
+    # mid-height conductance per opening.  Nothing calls a crack law or the
+    # separate derivative law.  On dwelling5 the law is never called;
+    # many_openings_network keeps the law path covered.
+    names = ["opening", "opening derivative", "pow", "crack law", "conductance"]
     calls = dict.fromkeys(names, 0)
+    expected = {}  # per wrapped assembly function, the calls one call makes
+    built = {}  # per wrapped assembly function, the calls that returned
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -362,19 +378,24 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
 
         return wrapper
 
-    def reading(name):
+    def checked(name):
         original = getattr(solvers, name)
 
         def wrapper(*args, **kwargs):
             before = dict(calls)
-            result = original(*args, **kwargs)
-            assert calls["pow"] == before["pow"] and calls["opening"] == before["opening"]
-            assert calls["conductance"] - before["conductance"] == (name == "picard_system")
-            return result
+            reciprocal = False
+            try:
+                return original(*args, **kwargs)
+            except an.ReciprocalFlowError:
+                reciprocal = True
+                raise
+            finally:
+                built[name] += not reciprocal
+                want = dict(expected[name], conductance=0) if reciprocal else expected[name]
+                assert {k: calls[k] - before[k] for k in calls} == want, name
 
         return wrapper
 
-    monkeypatch.setattr(solvers, "residual", counted("residual", solvers.residual))
     monkeypatch.setattr(assembly, "large_opening_flow", counted("opening", assembly.large_opening_flow))
     monkeypatch.setattr(
         assembly,
@@ -382,23 +403,29 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
         counted("opening derivative", assembly.large_opening_derivative),
     )
     monkeypatch.setattr(assembly, "pow", counted("pow", pow), raising=False)
-    for law in ("crack_flow", "crack_derivative"):
-        monkeypatch.setattr(assembly, law, counted("crack law", getattr(assembly, law)))
+    for name in ("crack_flow", "crack_derivative"):
+        monkeypatch.setattr(assembly, name, counted("crack law", getattr(assembly, name)))
     monkeypatch.setattr(assembly, "crack_conductance", counted("conductance", assembly.crack_conductance))
-    for name in ("jacobian", "picard_system"):
-        monkeypatch.setattr(solvers, name, reading(name))
-    net = an.load_network(an.bundled_example_path("dwelling5"))
-    assert sum(isinstance(link.model, an.LargeOpening) for link in net.links) == 1
-    cracks = sum(isinstance(link.model, an.Crack) for link in net.links)
-    p = None
-    for rec in an.generate_weather(days=1, step_minutes=30, seed=42):
-        calls.update(dict.fromkeys(calls, 0))
-        out = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig())
-        assert calls["opening"] == calls["residual"]
-        assert calls["pow"] == 2 * cracks * calls["residual"]
-        assert calls["crack law"] == 0
-        assert calls["opening derivative"] == 0
-        p = out.pressures
+    for name in ("residual", "jacobian", "picard_system"):
+        monkeypatch.setattr(solvers, name, checked(name))
+    dwelling = an.load_network(an.bundled_example_path("dwelling5"))
+    none = dict.fromkeys(names, 0)
+    for net, kinds in [(dwelling, (1, 0)), (many_openings_network(), (3, 1))]:
+        openings = sum(isinstance(link.model, an.LargeOpening) for link in net.links)
+        cracks = sum(isinstance(link.model, an.Crack) for link in net.links)
+        orifices = equal_density_openings(net)
+        assert (orifices, openings - orifices) == kinds
+        expected.update(
+            residual=dict(none, opening=openings - orifices, pow=2 * (cracks + orifices)),
+            jacobian=none,
+            picard_system=dict(none, conductance=openings),
+        )
+        built.update(dict.fromkeys(expected, 0))
+        p = None
+        for rec in an.generate_weather(days=1, step_minutes=30, seed=42):
+            p = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig()).pressures
+        assert built["residual"] > 0 and built["jacobian"] > 0
+        assert (built["picard_system"] > 0) == (strategy in ("PNR", "PWM"))
 
 
 def test_picard_alone_solves_majority_of_cold_starts_on_crack_fixture():
