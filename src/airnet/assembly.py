@@ -215,8 +215,8 @@ class _CompiledNetwork:
         self.ids = [link.id for link in net.links]
         nk, nc = len(cracks), len(cracks) + len(orifices)
         coupled = nc + len(openings)
-        self.n_cracks = nc
-        self.orifice_slots = slice(nk, nc)
+        self.n_cracks, self.n_orifices = nk, len(orifices)
+        self.n_pow = nc  # the links of the crack pass: the cracks, then the orifices
 
         node_f = np.array([node[link.from_node] for link in slotted], dtype=np.intp)
         node_t = np.array([node[link.to_node] for link in slotted], dtype=np.intp)
@@ -228,9 +228,8 @@ class _CompiledNetwork:
             (m.width_m, m.height_m, m.cd, rho[f], rho[t])
             for m, f, t in zip(models[nk:coupled], node_f[nk:], node_t[nk:])
         ]
-        self.orifices = self.openings[: nc - nk]
         # An orifice's k is the law's cd * W * H * sqrt(2 * rho), in its order.
-        orifice_k = [_orifice_k(w, h, cd, rho_f) for w, h, cd, rho_f, _ in self.orifices]
+        orifice_k = [_orifice_k(w, h, cd, rho_f) for w, h, cd, rho_f, _ in self.openings[: nc - nk]]
         self.crack_k = np.array([m.k for m in models[:nk]] + orifice_k, dtype=float)
         self.crack_n = np.array([m.n for m in models[:nk]] + [0.5] * (nc - nk), dtype=float)
         self.crack_nk = self.crack_n * self.crack_k
@@ -313,7 +312,7 @@ class _CompiledNetwork:
             for w, h, cd, rf, rt in self.openings
         ]
         mid_k = [_orifice_k(w, h, cd, 0.5 * (rf + rt)) for w, h, cd, rf, rt in args]
-        opening_args = args[len(self.orifices) :]
+        opening_args = args[self.n_orifices :]
         return _Boundary(bc=bc, ends=ends, picard_coef=coef, opening_args=opening_args, mid_k=mid_k)
 
     def rows(self, *values) -> np.ndarray:
@@ -352,7 +351,7 @@ class _CompiledNetwork:
         b = last.boundary if same_bc else self.boundary(bc)
         ends = b.ends + pz.take(self.end_col)
         dp = ends[self.at_f] - ends[self.at_t]
-        nc = self.n_cracks
+        nc = self.n_pow
         # Each crack once, with the float laws' rounding: in the linear band
         # flow (k*g)*dp, slope k*g, conductance k*g; outside it flow
         # copysign(k*h, dp), slope (n*k)*g, conductance k*g.
@@ -432,12 +431,13 @@ def link_flows(
         return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows.tolist()]
 
     # An orifice's flows come from the law, which gives its whole TwoWayFlow.
-    orifice_dp = at.ends[c.at_f][c.orifice_slots] - at.ends[c.at_t][c.orifice_slots]
+    nk = c.n_cracks
+    orifice_dp = at.ends[c.at_f][nk : c.n_pow] - at.ends[c.at_t][nk : c.n_pow]
     orifices = [
         large_opening_flow(*args, dp_bottom, dp_lin)
-        for args, dp_bottom in zip(c.orifices, orifice_dp.tolist())
+        for args, dp_bottom in zip(c.openings[: c.n_orifices], orifice_dp.tolist())
     ]
-    cracks = one_way(at.crack_flows[: c.orifice_slots.start])
+    cracks = one_way(at.crack_flows[:nk])
     slotted = cracks + orifices + at.opening_flows + one_way(c.fan_flow)
     return {link_id: slotted[slot] for link_id, slot in zip(c.ids, c.slot_of)}
 
@@ -468,7 +468,7 @@ def picard_system(
     openings = [
         crack_conductance(k, 0.5, dp, dp_lin) for k, dp in zip(b.mid_k, mid_dp.tolist())
     ]
-    values = np.concatenate((c.neg_mech_fans, at.crack_kg[: c.orifice_slots.start], openings))
+    values = np.concatenate((c.neg_mech_fans, at.crack_kg[: c.n_cracks], openings))
     n = c.n
     summed = np.bincount(c.picard_index, values.take(c.picard_gather) * b.picard_coef)
     return LinearSystem(matrix=summed[: n * n].reshape(n, n), rhs=summed[n * n : n * n + n])
