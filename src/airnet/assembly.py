@@ -16,6 +16,7 @@ reference height and the link elevation.
 The cracks, and the large openings between zones of exactly equal density,
 whose law is then the crack law with exponent 1/2, are evaluated in one
 array pass; every other large opening takes one call of its law per point.
+`jacobian` sums the residual with the matrix and keeps it for `residual`.
 """
 
 from __future__ import annotations
@@ -157,6 +158,7 @@ class _Point(NamedTuple):
     crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
     crack_kg: np.ndarray  # k * crack_g: the flow per Pa in the linear band
     opening_flows: list[TwoWayFlow]  # each non-orifice opening's, with its derivative
+    residual: np.ndarray | None = None  # the zone rows, once `jacobian` has summed them
 
 
 class _CompiledNetwork:
@@ -169,11 +171,13 @@ class _CompiledNetwork:
     dp_bottom, as a zone-to-zone dp is never -0.0, so the law is the crack
     law at k = cd*W*H*sqrt(2*rho), n = 1/2, and the crack pass evaluates the
     orifice with the law's bits.  Cracks and openings couple their two end
-    pressures; fans do not.  Every zone balance and matrix entry is one
-    np.bincount whose terms are gathered back into link order, `from` end
-    before `to` end, so each sum is added up in the same order, with the same
-    rounding, as a loop over the links would give it; the Picard matrix and
-    right-hand side share one np.bincount.
+    pressures; fans do not.  The zone balances and the matrix entries are
+    summed by one np.bincount over one layout, whose terms are gathered back
+    into link order, `from` end before `to` end, so each sum is added up in
+    the same order, with the same rounding, as a loop over the links would
+    give it.  The residual and the Jacobian share one np.bincount, as do the
+    Picard right-hand side and matrix; a residual alone scatters the row
+    terms, the first part of the layout.
 
     The ends of the coupled links sit in one array: the from ends at each
     link's elevation, then the to ends there, then the from and then the to
@@ -233,11 +237,9 @@ class _CompiledNetwork:
         self.crack_k = np.array([m.k for m in models[:nk]] + orifice_k, dtype=float)
         self.crack_n = np.array([m.n for m in models[:nk]] + [0.5] * (nc - nk), dtype=float)
         self.crack_nk = self.crack_n * self.crack_k
-        self.crack_kk = np.tile(self.crack_k, 2)  # one k per crack power below
-        # One pass of the C library's pow, as the float laws call it, gives
-        # max(|dp|, dp_lin) ** (n - 1) and then ** n for every crack; np.power
-        # may round differently in the last bit.
-        self.crack_exponents = (self.crack_n - 1.0).tolist() + self.crack_n.tolist()
+        # The exponents n - 1, then n, of each crack, flat: a broadcast is slower.
+        self.crack_exponents = np.concatenate((self.crack_n - 1.0, self.crack_n))
+        self.crack_kk = np.tile(self.crack_k, 2)
         self.opening_ids = [link.id for link in slotted[nc:coupled]]
         self.fan_flow = np.array([m.flow_kg_s for m in models[coupled:]], dtype=float)
 
@@ -257,44 +259,48 @@ class _CompiledNetwork:
         self.at_f, self.at_t = slice(0, coupled), slice(coupled, 2 * coupled)
         self.mid_f, self.mid_t = slice(2 * coupled, 3 * coupled - nk), slice(3 * coupled - nk, None)
 
-        # Zone balances: the n base values, then each link's from and to terms
-        # in link order, each gathered from n + the link's slot.
+        # One layout scatters the zone balances, then the n x n matrix of the
+        # coupled links, in one np.bincount: a zone row's bin is its zone, the
+        # matrix entry (r, c) is bin n + 1 + r * n + c, and a term at an external
+        # end goes to the spare bin n.  The row terms are the n base values, then
+        # each link's from and to terms in link order; the matrix terms are each
+        # coupled link's (f,f), (f,t), (t,f), (t,t) entries in link order.  The
+        # values are the n base values, each fan's, each coupled link's row
+        # value, then its matrix value.
         slot_of = np.empty(len(slotted), dtype=np.intp)
         slot_of[order] = np.arange(len(slotted))
         self.slot_of = slot_of.tolist()
-        self.row_index = np.concatenate(
-            (np.arange(n), np.column_stack((col_f[slot_of], col_t[slot_of])).ravel())
-        )
-        self.row_gather = np.concatenate((np.arange(n), np.repeat(n + slot_of, 2)))
-        self.row_sign = np.concatenate((np.ones(n), np.tile(_ROW_SIGNS, len(slotted))))
-
-        # Matrix entries of each coupled link, in link order, in the flattened
-        # n x n matrix; an entry with an external end goes to the spare slot n * n + n.
+        nf = len(fans)
+        self.mech_fans = np.concatenate((self.mech, self.fan_flow))
+        row_value = np.where(slot_of < coupled, n + nf + slot_of, n + slot_of - coupled)
         coupled_slots = slot_of[slot_of < coupled]
         f, t = col_f[coupled_slots], col_t[coupled_slots]
         rows = np.column_stack((f, f, t, t)).ravel()
         cols = np.column_stack((f, t, f, t)).ravel()
-        self.entry_index = np.where((rows < n) & (cols < n), rows * n + cols, n * n + n)
-        self.entry_gather = np.repeat(coupled_slots, 4)
-        self.entry_sign = np.tile(_ENTRY_SIGNS, coupled)
-
-        # The Picard system in one np.bincount: the n * n matrix bins, then n
-        # rhs bins, then the spare, over the values (-mech per zone, -flow per
-        # fan, conductance G per coupled link), each term times its coefficient:
-        # the entry sign, or the row sign and, for G, the to minus from offset,
-        # as a coupled link's constant flow G * (off_f - off_t) moves to the rhs.
-        nf = len(fans)
-        self.neg_mech_fans = -np.concatenate((self.mech, self.fan_flow))
-        link_value = np.where(slot_of < coupled, n + nf + slot_of, n + slot_of - coupled)
-        self.picard_index = np.concatenate((self.entry_index, n * n + self.row_index))
-        self.picard_gather = np.concatenate(
-            (n + nf + self.entry_gather, np.arange(n), np.repeat(link_value, 2))
+        self.index = np.concatenate((
+            np.arange(n),
+            np.column_stack((col_f[slot_of], col_t[slot_of])).ravel(),
+            np.where((rows < n) & (cols < n), n + 1 + rows * n + cols, n),
+        ))
+        self.gather = np.concatenate(
+            (np.arange(n), np.repeat(row_value, 2), np.repeat(n + nf + coupled + coupled_slots, 4))
         )
-        self.picard_sign = np.concatenate((self.entry_sign, self.row_sign))
-        # G's rhs terms, after its 4 * coupled matrix terms, take the offsets
-        # where Picard takes dp: a crack's elevation, an opening's mid-height.
-        self.picard_rhs = np.flatnonzero(self.picard_gather >= n + nf)[4 * coupled :]
-        s = self.picard_gather[self.picard_rhs] - (n + nf)
+        self.sign = np.concatenate(
+            (np.ones(n), np.tile(_ROW_SIGNS, len(slotted)), np.tile(_ENTRY_SIGNS, coupled))
+        )
+        # The row terms alone, for a residual without its matrix.
+        r = n + 2 * len(slotted)
+        self.row_index, self.row_gather = self.index[:r], self.gather[:r]
+        self.row_sign = self.sign[:r]
+
+        # The Picard system scatters over the same layout, the rhs in the rows,
+        # from -mech per zone, -flow per fan and G per coupled link; G's row
+        # terms take the to minus from offset where Picard takes dp (a crack's
+        # elevation, an opening's mid-height), as G * (off_f - off_t) is constant.
+        self.neg_mech_fans = -self.mech_fans
+        self.picard_gather = np.concatenate((self.row_gather, np.repeat(n + nf + coupled_slots, 4)))
+        self.picard_rhs = np.flatnonzero(self.row_gather >= n + nf)
+        s = self.row_gather[self.picard_rhs] - (n + nf)
         self.rhs_f = np.where(s < nk, s, s + 2 * coupled - nk)
         self.rhs_t = self.rhs_f + np.where(s < nk, coupled, coupled - nk)
         self._point: _Point | None = None
@@ -305,7 +311,7 @@ class _CompiledNetwork:
         wind = np.array([boundary_pressure(e, bc) for e in self.externals])
         ends = self.ends.copy()
         ends[self.facade_ends] = wind.take(self.facade_node) - (rho_out * GRAVITY) * self.facade_dz
-        coef = self.picard_sign.copy()
+        coef = self.sign.copy()
         coef[self.picard_rhs] *= ends.take(self.rhs_t) - ends.take(self.rhs_f)
         args = [
             (w, h, cd, rho_out if rf is None else rf, rho_out if rt is None else rt)
@@ -317,17 +323,17 @@ class _CompiledNetwork:
 
     def rows(self, *values) -> np.ndarray:
         """The mechanical flow per zone, minus each link's value in its from
-        zone and plus it in its to zone; `values` hold the link values in slot
-        order."""
-        terms = np.concatenate((self.mech, *values)).take(self.row_gather) * self.row_sign
+        zone and plus it in its to zone; `values` hold the coupled links'
+        values in slot order."""
+        terms = np.concatenate((self.mech_fans, *values)).take(self.row_gather) * self.row_sign
         return np.bincount(self.row_index, terms, minlength=self.n + 1)[: self.n]
 
-    def matrix(self, *values) -> np.ndarray:
-        """n x n matrix coupling the ends of each coupled link with its value v:
-        -v on both diagonal entries, +v on both off-diagonal ones."""
+    def scatter(self, values, gather, coef) -> tuple[np.ndarray, np.ndarray]:
+        """The zone rows and the n x n matrix the whole layout sums from the
+        values its terms gather, each term times its coefficient."""
         n = self.n
-        terms = np.concatenate(values).take(self.entry_gather) * self.entry_sign
-        return np.bincount(self.entry_index, terms, minlength=n * n + n + 1)[: n * n].reshape(n, n)
+        summed = np.bincount(self.index, values.take(gather) * coef, minlength=n + 1 + n * n)
+        return summed[:n], summed[n + 1 :].reshape(n, n)
 
     def point(self, p, bc: BoundaryState, dp_lin: float) -> _Point:
         """The links evaluated at p, kept until a call brings another point;
@@ -358,19 +364,22 @@ class _CompiledNetwork:
         crack_dp = dp[:nc]
         mag = np.abs(crack_dp)
         lin = mag < dp_lin
-        base = np.maximum(mag, dp_lin).tolist()
-        powers = np.fromiter(map(pow, base * 2, self.crack_exponents), float, 2 * nc)
-        g = powers[:nc]
+        # g = max(|dp|, dp_lin) ** (n - 1), then h = ... ** n: np.float_power
+        # calls the C library's pow per element, as the float laws do.
+        base = np.maximum(mag, dp_lin)
+        powers = np.float_power(np.concatenate((base, base)), self.crack_exponents)
         kgh = self.crack_kk * powers  # k*g, then k*h
         kg, kh = kgh[:nc], kgh[nc:]
+        flows = np.copysign(kh, crack_dp)
+        np.multiply(kg, crack_dp, out=flows, where=lin)
         last = self._point = _Point(
             boundary=b,
             dp_lin=dp_lin,
             key=key,
             ends=ends,
-            crack_flows=np.where(lin, kg * crack_dp, np.copysign(kh, crack_dp)),
+            crack_flows=flows,
             crack_lin=lin,
-            crack_g=g,
+            crack_g=powers[:nc],
             crack_kg=kg,
             opening_flows=[
                 large_opening_flow(*args, dp_bottom, dp_lin)
@@ -400,19 +409,27 @@ def residual(
     """Net mass inflow per zone (kg/s), in network zone order."""
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
+    if at.residual is not None:
+        return at.residual.copy()
     openings = [two_way.net for two_way in at.opening_flows]
-    return c.rows(at.crack_flows, openings, c.fan_flow)
+    return c.rows(at.crack_flows, openings)
 
 
 def jacobian(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> np.ndarray:
-    """Derivative of the residual with respect to the zone pressures."""
+    """Derivative of the residual with respect to the zone pressures; the
+    residual, summed with it, is kept for a `residual` call at this point."""
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
-    cracks = np.where(at.crack_lin, at.crack_kg, c.crack_nk * at.crack_g)
-    openings = [two_way.derivative for two_way in at.opening_flows]
-    return c.matrix(cracks, openings)
+    slopes = c.crack_nk * at.crack_g
+    np.copyto(slopes, at.crack_kg, where=at.crack_lin)
+    flows = [two_way.net for two_way in at.opening_flows]
+    derivatives = [two_way.derivative for two_way in at.opening_flows]
+    values = np.concatenate((c.mech_fans, at.crack_flows, flows, slopes, derivatives))
+    rows, matrix = c.scatter(values, c.gather, c.sign)
+    c._point = _Point(*at[:-1], rows)  # the point with its rows, replaced whole
+    return matrix
 
 
 def link_flows(
@@ -469,6 +486,5 @@ def picard_system(
         crack_conductance(k, 0.5, dp, dp_lin) for k, dp in zip(b.mid_k, mid_dp.tolist())
     ]
     values = np.concatenate((c.neg_mech_fans, at.crack_kg[: c.n_cracks], openings))
-    n = c.n
-    summed = np.bincount(c.picard_index, values.take(c.picard_gather) * b.picard_coef)
-    return LinearSystem(matrix=summed[: n * n].reshape(n, n), rhs=summed[n * n : n * n + n])
+    rhs, matrix = c.scatter(values, c.picard_gather, b.picard_coef)
+    return LinearSystem(matrix=matrix, rhs=rhs)

@@ -6,9 +6,11 @@ and, for cracks, a linearized conductance G such that flow = G * dP (for the
 fixed-point initializer).  A large opening's law returns its derivative with
 its flows, from the same branch, so one call per opening and point serves
 the residual and the Jacobian.  The laws take floats.  `assembly` evaluates
-all the cracks of a network at once, in arrays, from the same C-library
-`pow` and the same products, so each array element has the bits of the
-float law.  With them it evaluates each large opening between zones of
+all the cracks of a network at once, in arrays: one `np.float_power` call
+runs the C library's `pow`, which the float laws call, element by element
+(`np.power` may take a SIMD pow that rounds otherwise), and the same
+products follow, so each array element has the bits of the float law.
+With them it evaluates each large opening between zones of
 exactly equal density: there `large_opening_flow` always takes its
 unstratified branch, which is the crack law at exponent 1/2 with
 k = cd*W*H*sqrt(2*rho).

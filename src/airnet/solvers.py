@@ -247,6 +247,7 @@ def solve(
     correction_prev = None
     iters = 0
     failure = None  # (SolveError subclass, message) once Newton gives up
+    matrix = None  # the Jacobian at p, once asked for
     while not _converged(f, cfg):
         if iters >= cfg.max_newton_iters:
             failure = NonConvergenceError, (
@@ -254,7 +255,7 @@ def solve(
                 f"(max residual {float(np.abs(f).max()):.3e} kg/s)"
             )
             break
-        report = lu_solve(jacobian(net, p, bc, cfg.dp_lin), -f)
+        report = lu_solve(jacobian(net, p, bc, cfg.dp_lin) if matrix is None else matrix, -f)
         if report.singular:
             failure = SingularJacobianError, (
                 f"singular Jacobian at Newton iteration {iters} "
@@ -268,6 +269,8 @@ def solve(
             p = p + cfg.fixed_relax * correction
         correction_prev = correction
         iters += 1
+        # Jacobian first: at a new iterate it sums the residual in the same scatter.
+        matrix = jacobian(net, p, bc, cfg.dp_lin)
         f = residual(net, p, bc, cfg.dp_lin)
 
     outcome = SolveOutcome(

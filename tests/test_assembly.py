@@ -1,14 +1,18 @@
 """System assembly: boundary pressures, stack terms, residual, Jacobian, Picard."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import airnet as an
 from airnet.scenario import boundary_from_record
@@ -656,10 +660,19 @@ def hex_fields(flow: an.TwoWayFlow) -> list:
 def matches_the_loop(net, p, bc, dp_lin) -> bool:
     """Assert that the array assembly gives the link loop's residual,
     Jacobian, Picard system and link flows bit for bit; True when the loop
-    found a reciprocal opening and the Picard system was refused for it."""
+    found a reciprocal opening and the Picard system was refused for it.
+
+    The residual and the Jacobian are asked for in both orders, each at a
+    point of its own: residual first, as Picard hands its iterate to Newton,
+    and Jacobian first, as Newton asks at a new iterate, where one scatter
+    sums both."""
     loop = loop_assembly(net, p, bc, dp_lin)
-    assert an.residual(net, p, bc, dp_lin).tobytes() == loop.residual.tobytes()
-    assert an.jacobian(net, p, bc, dp_lin).tobytes() == loop.jacobian.tobytes()
+    residual, jacobian = loop.residual.tobytes(), loop.jacobian.tobytes()
+    assert an.residual(net, p, bc, dp_lin).tobytes() == residual
+    assert an.jacobian(net, p, bc, dp_lin).tobytes() == jacobian
+    again = dataclasses.replace(bc)
+    assert an.jacobian(net, p, again, dp_lin).tobytes() == jacobian
+    assert an.residual(net, p, again, dp_lin).tobytes() == residual
     if isinstance(loop.picard, str):
         with pytest.raises(an.ReciprocalFlowError) as err:
             an.picard_system(net, p, bc, dp_lin)
@@ -691,6 +704,56 @@ def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
             p = rng.uniform(-10, 10, len(net.zones)) * rng.choice([1.0, 1e-4])
             reciprocal += matches_the_loop(net, p, bc, dp_lin)
     assert reciprocal > 0
+
+
+def test_arrays_returned_at_a_point_are_the_callers_own():
+    # The Jacobian keeps the residual it sums with its matrix at the point.
+    # What the caller changes in place, in either call's array, changes
+    # nothing a later call at the same point returns, in either call order.
+    rng = np.random.default_rng(17)
+    nets = [mixed_network(), many_openings_network(), facade_windows_network()]
+    nets.append(an.load_network(an.bundled_example_path("dwelling5")))
+    for net in nets:
+        bc = random_boundary(rng)
+        p = rng.uniform(-10, 10, len(net.zones))
+        loop = loop_assembly(net, p, bc)
+        for order in ((an.jacobian, an.residual), (an.residual, an.jacobian)):
+            at = dataclasses.replace(bc)  # a point of its own
+            for assemble in order + order[::-1] + order:
+                out = assemble(net, p, at)
+                want = loop.jacobian if assemble is an.jacobian else loop.residual
+                assert out.tobytes() == want.tobytes()
+                out.fill(math.nan)
+
+
+# Each crack's max(|dp|, dp_lin) ** (n - 1) and ** n come from np.float_power,
+# which must round as the float laws' C-library pow does: dp_lin's default and
+# smallest value, draws up to 1e300, and the non-finite values.
+POWER_BASES = np.concatenate((
+    [1e-3, 5e-324, 1.0, 1e300, math.inf, math.nan],
+    10.0 ** np.random.default_rng(5).uniform(-323.0, 300.0, 20000),
+))
+
+
+def assert_float_power_is_math_pow(n: float) -> None:
+    exponents = np.array([[n - 1.0], [n]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = np.float_power(POWER_BASES, exponents)
+    bases = POWER_BASES.tolist()
+    theirs = np.array([[math.pow(b, e) for b in bases] for e in (n - 1.0, n)])
+    assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("n", [0.5, 0.65, 1.0])
+def test_float_power_is_the_c_library_pow(n):
+    assert_float_power_is_math_pow(n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(n=st.floats(0.5, 1.0))
+def test_float_power_is_the_c_library_pow_for_any_exponent(n):
+    assert_float_power_is_math_pow(n)
 
 
 def door_network(temp_b: float) -> an.Network:

@@ -357,19 +357,20 @@ def equal_density_openings(net: an.Network) -> int:
 
 @pytest.mark.parametrize("strategy", an.STRATEGIES)
 def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
-    # Each residual evaluates every coupled link once at its pressures: one
-    # opening-law call per opening with a density difference or an outdoor
-    # end, and two pows, max(|dp|, dp_lin) ** (n - 1) and then ** n, per crack
-    # and per opening between zones of equal density, which is a crack of
-    # exponent 1/2.  The Jacobian and the Picard system read what the residual
-    # evaluated: they call no pow and no law, and the Picard system takes one
-    # mid-height conductance per opening.  Nothing calls a crack law or the
+    # Each distinct iterate (pressures and boundary) evaluates every coupled
+    # link once, in its first call: one power pass, max(|dp|, dp_lin) ** (n - 1)
+    # and ** n over every crack and every opening between zones of equal
+    # density, which is a crack of exponent 1/2, and one law call per other
+    # opening.  A second call at the iterate evaluates nothing: the Picard
+    # system takes one mid-height conductance per opening, and `residual` after
+    # `jacobian` reads the rows the Jacobian summed with its matrix, so a
+    # Newton iterate makes one np.bincount.  Nothing calls a crack law or the
     # separate derivative law.  On dwelling5 the law is never called;
     # many_openings_network keeps the law path covered.
-    names = ["opening", "opening derivative", "pow", "crack law", "conductance"]
+    names = ["power pass", "opening", "opening derivative", "crack law", "conductance", "bincount"]
     calls = dict.fromkeys(names, 0)
-    expected = {}  # per wrapped assembly function, the calls one call makes
-    built = {}  # per wrapped assembly function, the calls that returned
+    powers = []  # how many powers each power pass computed
+    log = []  # (function, boundary, pressures, refused, the calls it made) per call
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -378,54 +379,79 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
 
         return wrapper
 
-    def checked(name):
+    def logged(name):
         original = getattr(solvers, name)
 
-        def wrapper(*args, **kwargs):
+        def wrapper(net, p, bc, dp_lin):
             before = dict(calls)
-            reciprocal = False
+            refused = True
             try:
-                return original(*args, **kwargs)
+                out = original(net, p, bc, dp_lin)
+                refused = False
+                return out
             except an.ReciprocalFlowError:
-                reciprocal = True
+                assert name == "picard_system"
                 raise
             finally:
-                built[name] += not reciprocal
-                want = dict(expected[name], conductance=0) if reciprocal else expected[name]
-                assert {k: calls[k] - before[k] for k in calls} == want, name
+                made = {k: calls[k] - before[k] for k in calls}
+                log.append((name, bc, np.asarray(p, dtype=float).tobytes(), refused, made))
 
         return wrapper
 
+    def float_power(*args):
+        out = original_float_power(*args)
+        calls["power pass"] += 1
+        powers.append(out.size)
+        return out
+
+    original_float_power = np.float_power
+    monkeypatch.setattr(np, "float_power", float_power)
+    monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
     monkeypatch.setattr(assembly, "large_opening_flow", counted("opening", assembly.large_opening_flow))
     monkeypatch.setattr(
         assembly,
         "large_opening_derivative",
         counted("opening derivative", assembly.large_opening_derivative),
     )
-    monkeypatch.setattr(assembly, "pow", counted("pow", pow), raising=False)
     for name in ("crack_flow", "crack_derivative"):
         monkeypatch.setattr(assembly, name, counted("crack law", getattr(assembly, name)))
     monkeypatch.setattr(assembly, "crack_conductance", counted("conductance", assembly.crack_conductance))
     for name in ("residual", "jacobian", "picard_system"):
-        monkeypatch.setattr(solvers, name, checked(name))
+        monkeypatch.setattr(solvers, name, logged(name))
     dwelling = an.load_network(an.bundled_example_path("dwelling5"))
-    none = dict.fromkeys(names, 0)
     for net, kinds in [(dwelling, (1, 0)), (many_openings_network(), (3, 1))]:
         openings = sum(isinstance(link.model, an.LargeOpening) for link in net.links)
         cracks = sum(isinstance(link.model, an.Crack) for link in net.links)
         orifices = equal_density_openings(net)
         assert (orifices, openings - orifices) == kinds
-        expected.update(
-            residual=dict(none, opening=openings - orifices, pow=2 * (cracks + orifices)),
-            jacobian=none,
-            picard_system=dict(none, conductance=openings),
-        )
-        built.update(dict.fromkeys(expected, 0))
+        log.clear()
+        powers.clear()
         p = None
         for rec in an.generate_weather(days=1, step_minutes=30, seed=42):
             p = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig()).pressures
-        assert built["residual"] > 0 and built["jacobian"] > 0
-        assert (built["picard_system"] > 0) == (strategy in ("PNR", "PWM"))
+        iterates = []  # the calls at each distinct iterate, in order
+        for call in log:
+            last = iterates[-1][-1] if iterates else None
+            if last is None or call[1] is not last[1] or call[2] != last[2]:
+                iterates.append([])
+            iterates[-1].append(call)
+        newton = 0
+        for calls_here in iterates:
+            first, *later = [made for *_, made in calls_here]
+            assert (first["power pass"], first["opening"]) == (1, openings - orifices)
+            assert all(made["power pass"] == made["opening"] == 0 for made in later)
+            for name, _, _, refused, made in calls_here:
+                assert made["opening derivative"] == made["crack law"] == 0
+                picard = name == "picard_system" and not refused
+                assert made["conductance"] == (openings if picard else 0)
+            order = [name for name, *_ in calls_here]
+            if order == ["jacobian", "residual"]:
+                newton += 1
+                assert sum(made["bincount"] for *_, made in calls_here) == 1
+        assert set(powers) == {2 * (cracks + orifices)}
+        assert newton > 0
+        picard = any(name == "picard_system" for name, *_ in log)
+        assert picard == (strategy in ("PNR", "PWM"))
 
 
 def test_picard_alone_solves_majority_of_cold_starts_on_crack_fixture():
