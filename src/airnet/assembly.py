@@ -153,7 +153,8 @@ class _Point(NamedTuple):
     dp_lin: float
     key: bytes  # the pressures as float64
     ends: np.ndarray
-    crack_flows: np.ndarray  # the cracks', then the orifices'
+    values: np.ndarray  # the row values the layout gathers: mech, fans, each coupled link's flow
+    crack_flows: np.ndarray  # a view of `values`: the cracks', then the orifices'
     crack_lin: np.ndarray  # |dp| < dp_lin
     crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
     crack_kg: np.ndarray  # k * crack_g: the flow per Pa in the linear band
@@ -177,7 +178,11 @@ class _CompiledNetwork:
     the same order, with the same rounding, as a loop over the links would
     give it.  The residual and the Jacobian share one np.bincount, as do the
     Picard right-hand side and matrix; a residual alone scatters the row
-    terms, the first part of the layout.
+    terms, the first part of the layout.  A point keeps the row values that
+    layout gathers, the mechanical flows, the fan flows and each coupled
+    link's flow, in one vector copied from `row_values` and filled in by the
+    crack pass and the opening laws, so the residual gathers from it and the
+    Jacobian appends the slopes to it.
 
     The ends of the coupled links sit in one array: the from ends at each
     link's elevation, then the to ends there, then the from and then the to
@@ -271,7 +276,11 @@ class _CompiledNetwork:
         slot_of[order] = np.arange(len(slotted))
         self.slot_of = slot_of.tolist()
         nf = len(fans)
-        self.mech_fans = np.concatenate((self.mech, self.fan_flow))
+        mech_fans = np.concatenate((self.mech, self.fan_flow))
+        # A point's row values: these, then each coupled link's flow.
+        self.row_values = np.concatenate((mech_fans, np.zeros(coupled)))
+        self.crack_values = slice(n + nf, n + nf + nc)
+        self.opening_values = slice(n + nf + nc, n + nf + coupled)
         row_value = np.where(slot_of < coupled, n + nf + slot_of, n + slot_of - coupled)
         coupled_slots = slot_of[slot_of < coupled]
         f, t = col_f[coupled_slots], col_t[coupled_slots]
@@ -297,7 +306,7 @@ class _CompiledNetwork:
         # from -mech per zone, -flow per fan and G per coupled link; G's row
         # terms take the to minus from offset where Picard takes dp (a crack's
         # elevation, an opening's mid-height), as G * (off_f - off_t) is constant.
-        self.neg_mech_fans = -self.mech_fans
+        self.neg_mech_fans = -mech_fans
         self.picard_gather = np.concatenate((self.row_gather, np.repeat(n + nf + coupled_slots, 4)))
         self.picard_rhs = np.flatnonzero(self.row_gather >= n + nf)
         s = self.row_gather[self.picard_rhs] - (n + nf)
@@ -320,13 +329,6 @@ class _CompiledNetwork:
         mid_k = [_orifice_k(w, h, cd, 0.5 * (rf + rt)) for w, h, cd, rf, rt in args]
         opening_args = args[self.n_orifices :]
         return _Boundary(bc=bc, ends=ends, picard_coef=coef, opening_args=opening_args, mid_k=mid_k)
-
-    def rows(self, *values) -> np.ndarray:
-        """The mechanical flow per zone, minus each link's value in its from
-        zone and plus it in its to zone; `values` hold the coupled links'
-        values in slot order."""
-        terms = np.concatenate((self.mech_fans, *values)).take(self.row_gather) * self.row_sign
-        return np.bincount(self.row_index, terms, minlength=self.n + 1)[: self.n]
 
     def scatter(self, values, gather, coef) -> tuple[np.ndarray, np.ndarray]:
         """The zone rows and the n x n matrix the whole layout sums from the
@@ -370,21 +372,27 @@ class _CompiledNetwork:
         powers = np.float_power(np.concatenate((base, base)), self.crack_exponents)
         kgh = self.crack_kk * powers  # k*g, then k*h
         kg, kh = kgh[:nc], kgh[nc:]
-        flows = np.copysign(kh, crack_dp)
+        values = self.row_values.copy()
+        flows = values[self.crack_values]
+        np.copysign(kh, crack_dp, out=flows)
         np.multiply(kg, crack_dp, out=flows, where=lin)
+        opening_flows = [
+            large_opening_flow(*args, dp_bottom, dp_lin)
+            for args, dp_bottom in zip(b.opening_args, dp[nc:].tolist())
+        ]
+        if opening_flows:
+            values[self.opening_values] = [two_way.net for two_way in opening_flows]
         last = self._point = _Point(
             boundary=b,
             dp_lin=dp_lin,
             key=key,
             ends=ends,
+            values=values,
             crack_flows=flows,
             crack_lin=lin,
             crack_g=powers[:nc],
             crack_kg=kg,
-            opening_flows=[
-                large_opening_flow(*args, dp_bottom, dp_lin)
-                for args, dp_bottom in zip(b.opening_args, dp[nc:].tolist())
-            ],
+            opening_flows=opening_flows,
         )
         return last
 
@@ -411,8 +419,8 @@ def residual(
     at = c.point(p, bc, dp_lin)
     if at.residual is not None:
         return at.residual.copy()
-    openings = [two_way.net for two_way in at.opening_flows]
-    return c.rows(at.crack_flows, openings)
+    terms = at.values.take(c.row_gather) * c.row_sign
+    return np.bincount(c.row_index, terms, minlength=c.n + 1)[: c.n]
 
 
 def jacobian(
@@ -424,9 +432,11 @@ def jacobian(
     at = c.point(p, bc, dp_lin)
     slopes = c.crack_nk * at.crack_g
     np.copyto(slopes, at.crack_kg, where=at.crack_lin)
-    flows = [two_way.net for two_way in at.opening_flows]
-    derivatives = [two_way.derivative for two_way in at.opening_flows]
-    values = np.concatenate((c.mech_fans, at.crack_flows, flows, slopes, derivatives))
+    if at.opening_flows:
+        derivatives = [two_way.derivative for two_way in at.opening_flows]
+        values = np.concatenate((at.values, slopes, derivatives))
+    else:
+        values = np.concatenate((at.values, slopes))
     rows, matrix = c.scatter(values, c.gather, c.sign)
     c._point = _Point(*at[:-1], rows)  # the point with its rows, replaced whole
     return matrix

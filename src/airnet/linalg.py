@@ -1,4 +1,12 @@
-"""Dense linear solve with explicit singularity detection."""
+"""Dense linear solve with explicit singularity detection, and the max |x|
+that scales its pivot test and the solvers' convergence test.
+
+`max_abs` takes LAPACK dlange('M', ...) up to a few hundred entries: one
+wrapper call, about 0.6 us on a 5 x 5 matrix where numpy's abs and max take
+about 1.9 us in two calls (2 vCPUs of a shared Xeon).  dlange spends about
+5 ns an entry against numpy's vectorized 0.5 ns, so past that size numpy's
+two calls take over: on a 320 x 320 Jacobian dlange takes 615 us, numpy 64 us.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +14,36 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
-__all__ = ["SolveReport", "lu_solve", "PIVOT_THRESHOLD"]
+__all__ = ["SolveReport", "lu_solve", "max_abs", "PIVOT_THRESHOLD"]
 
 # A pivot smaller than this fraction of the largest initial entry flags the
 # matrix as singular; cheap and deterministic, which is all the fixed-point
 # abort logic needs.
 PIVOT_THRESHOLD = 1e-12
 
+# The most entries max_abs hands to dlange (see the module docstring).
+LANGE_MAX_SIZE = 256
+
 
 class SolveReport(NamedTuple):
     solution: np.ndarray | None
     singular: bool
     pivot_ratio: float  # smallest |pivot| / largest initial |entry|
+
+
+def max_abs(a: np.ndarray) -> float:
+    """The largest |x| over a 1-D or 2-D float64 array: NaN when any entry is
+    NaN, 0.0 when it is empty, and otherwise np.abs(a).max() bit for bit.
+
+    dlange('M') keeps the first NaN it meets, as it tests each entry with
+    DISNAN (LAPACK 3.2 on); the views it gets, `a[:, None]` and `a.T`, are
+    Fortran-ordered when `a` is C-ordered, so the wrapper copies nothing.
+    """
+    if a.size > LANGE_MAX_SIZE:
+        return float(np.abs(a).max())
+    return dlange("M", a[:, None] if a.ndim == 1 else a.T)
 
 
 def lu_solve(matrix, rhs) -> SolveReport:
@@ -29,7 +53,9 @@ def lu_solve(matrix, rhs) -> SolveReport:
     Returns a report instead of raising: `singular` is set when any pivot
     magnitude falls below PIVOT_THRESHOLD times the largest initial entry
     or is NaN (or the matrix is all zeros or not finite), and then no
-    solution is present.  A non-finite rhs gives a non-finite solution.
+    solution is present.  The largest initial entry comes from `max_abs`,
+    LAPACK dlange on a small matrix.  A non-finite rhs gives a non-finite
+    solution.
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -38,7 +64,7 @@ def lu_solve(matrix, rhs) -> SolveReport:
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
 
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    scale = max_abs(a)
     if scale == 0.0 or not math.isfinite(scale):
         return SolveReport(None, True, 0.0)
 

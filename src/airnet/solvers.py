@@ -28,7 +28,7 @@ from .assembly import (
     picard_system,
     residual,
 )
-from .linalg import lu_solve
+from .linalg import lu_solve, max_abs
 from .network import Network
 
 __all__ = [
@@ -153,10 +153,11 @@ class PicardResult(NamedTuple):
 
 
 def _converged(f: np.ndarray, cfg: SolverConfig) -> bool:
-    # tol >= |x| for every x, in C: a NaN anywhere fails it (Python's max()
-    # would pass over a NaN that is not first), and tol is made a float
-    # because int.__ge__(float) returns NotImplemented, which is truthy.
-    return all(map(float(cfg.tolerance).__ge__, map(abs, f.tolist())))
+    # tol >= max |x|: max_abs is NaN when any x is, which fails the test
+    # (Python's max() would pass over a NaN that is not first), and tol is
+    # made a float because int.__ge__(float) returns NotImplemented, which
+    # is truthy.
+    return float(cfg.tolerance) >= max_abs(f)
 
 
 def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None) -> np.ndarray:
@@ -167,16 +168,17 @@ def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None
     oscillation, clamped to [OMEGA_MIN, OMEGA_MAX].  A pure +c/-c flip-flop
     yields exactly 0.5.
     """
+    omega = np.ones(correction.shape)
     if correction_prev is None:
-        return np.ones(correction.shape)
+        return omega
     opposing = correction * correction_prev < 0.0
     if not opposing.any():
-        return np.ones(correction.shape)
+        return omega
     # Where the corrections oppose, c - c_prev adds two nonzero magnitudes: it is
     # never 0 and, as rounding is monotone, |fl(c - c_prev)| >= |c|, so the secant
-    # is at most OMEGA_MAX = 1.  Elsewhere 1.0 keeps the unused c / 1.0 quiet.
-    secant = correction / np.where(opposing, correction - correction_prev, 1.0)
-    return np.where(opposing, np.maximum(secant, OMEGA_MIN), 1.0)
+    # is at most OMEGA_MAX = 1.  Elsewhere omega stays 1.0, which the clamp keeps.
+    np.divide(correction, correction - correction_prev, out=omega, where=opposing)
+    return np.maximum(omega, OMEGA_MIN, out=omega)
 
 
 def picard_init(
@@ -252,7 +254,7 @@ def solve(
         if iters >= cfg.max_newton_iters:
             failure = NonConvergenceError, (
                 f"{name}: no convergence after {iters} iterations "
-                f"(max residual {float(np.abs(f).max()):.3e} kg/s)"
+                f"(max residual {max_abs(f):.3e} kg/s)"
             )
             break
         report = lu_solve(jacobian(net, p, bc, cfg.dp_lin) if matrix is None else matrix, -f)
@@ -280,7 +282,7 @@ def solve(
         picard_iters_used=picard_used,
         converged_in_picard=converged_in_picard,
         picard_aborted=aborted,
-        max_residual=float(np.abs(f).max()),
+        max_residual=max_abs(f),
     )
     if failure is not None:
         error, message = failure

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import re
@@ -707,20 +708,29 @@ def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
 
 
 def test_arrays_returned_at_a_point_are_the_callers_own():
-    # The Jacobian keeps the residual it sums with its matrix at the point.
-    # What the caller changes in place, in either call's array, changes
-    # nothing a later call at the same point returns, in either call order.
+    # A point keeps the row values the residual gathers and the Jacobian
+    # extends, and the Jacobian keeps the residual it sums with its matrix.
+    # What the caller changes in place, in any call's result, changes nothing
+    # a later call at the same point returns, in any call order: a residual
+    # at a miss (scattered from the kept values) and at a hit (the kept rows),
+    # a Jacobian, and the link flows.
     rng = np.random.default_rng(17)
     nets = [mixed_network(), many_openings_network(), facade_windows_network()]
     nets.append(an.load_network(an.bundled_example_path("dwelling5")))
+    spoilt = an.TwoWayFlow(math.nan, math.nan, math.nan, math.nan)
     for net in nets:
         bc = random_boundary(rng)
         p = rng.uniform(-10, 10, len(net.zones))
         loop = loop_assembly(net, p, bc)
-        for order in ((an.jacobian, an.residual), (an.residual, an.jacobian)):
+        want_flows = {link_id: hex_fields(flow) for link_id, flow in loop.flows.items()}
+        for order in itertools.permutations((an.jacobian, an.residual, an.link_flows)):
             at = dataclasses.replace(bc)  # a point of its own
             for assemble in order + order[::-1] + order:
                 out = assemble(net, p, at)
+                if assemble is an.link_flows:
+                    assert {k: hex_fields(flow) for k, flow in out.items()} == want_flows
+                    out.update(dict.fromkeys(out, spoilt))
+                    continue
                 want = loop.jacobian if assemble is an.jacobian else loop.residual
                 assert out.tobytes() == want.tobytes()
                 out.fill(math.nan)

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from airnet.linalg import lu_solve
+from airnet.linalg import LANGE_MAX_SIZE, lu_solve, max_abs
 
 
 def test_identity():
@@ -112,3 +115,55 @@ def test_a_nan_pivot_gives_a_nan_ratio():
     assert math.isnan(report.pivot_ratio)
     assert report.singular
     assert report.solution is None
+
+
+# max_abs is the max |x| of the pivot and convergence tests: LAPACK dlange
+# up to LANGE_MAX_SIZE entries, numpy's abs and max past it.  Either way it
+# must be np.abs(a).max() bit for bit, over the whole float64 line, in any
+# memory layout; NaN wherever a NaN sits; and 0.0 for no entries.
+ENTRIES = st.floats(allow_nan=False, allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308]
+)
+
+
+@st.composite
+def laid_out(draw) -> np.ndarray:
+    """A 1-D or 2-D float64 array on either side of LANGE_MAX_SIZE, as drawn
+    (C order), in Fortran order, transposed, or as a strided view."""
+    if draw(st.booleans()):
+        shape = (draw(st.integers(0, 2 * LANGE_MAX_SIZE)),)
+    else:
+        shape = (draw(st.integers(0, 24)), draw(st.integers(0, 24)))
+    a = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    layout = draw(st.sampled_from(["C", "F", "T", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "T":
+        return a.T
+    if layout == "strided":
+        return a[::2] if a.ndim == 1 else a[1::2, ::3]
+    return a
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(a=laid_out())
+def test_max_abs_is_numpys_abs_max(a):
+    ours = max_abs(a)
+    assert type(ours) is float
+    want = np.abs(a).max() if a.size else np.float64(0.0)
+    assert np.float64(ours).tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(a=laid_out(), data=st.data())
+def test_max_abs_is_nan_wherever_a_nan_sits(a, data):
+    if not a.size:
+        return
+    at = data.draw(st.integers(0, a.size - 1))
+    a[np.unravel_index(at, a.shape)] = math.nan
+    assert math.isnan(max_abs(a))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 3), (3, 0)])
+def test_max_abs_of_no_entries_is_zero(shape):
+    assert np.float64(max_abs(np.zeros(shape))).tobytes() == np.float64(0.0).tobytes()

@@ -145,6 +145,27 @@ def test_integer_tolerance_counts_as_its_float(strategy):
     assert ours.max_residual <= 1.0
 
 
+@pytest.mark.parametrize("n", [5, 320])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_nan_anywhere_fails_the_convergence_test(n, where):
+    # A residual of crack320's size, and dwelling5's: all but one entry well
+    # inside the tolerance, and a NaN first, in the middle or last.
+    f = np.full(n, 1e-6)
+    assert solvers._converged(f, an.SolverConfig(tolerance=1e-3))
+    f[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = math.nan
+    assert not solvers._converged(f, an.SolverConfig(tolerance=1e-3))
+
+
+@pytest.mark.parametrize("n", [5, 320])
+def test_a_residual_at_the_tolerance_passes_the_convergence_test(n):
+    cfg = an.SolverConfig(tolerance=1e-3)
+    f = np.linspace(-5e-4, 5e-4, n)
+    f[n // 3] = -1e-3
+    assert solvers._converged(f, cfg)
+    f[n // 3] = np.nextafter(-1e-3, -1.0)
+    assert not solvers._converged(f, cfg)
+
+
 def test_solve_errors_survive_pickle_and_copy():
     # BaseException re-creates an error from its args, which hold the message only.
     dwelling = an.load_network(an.bundled_example_path("dwelling5"))
