@@ -154,7 +154,6 @@ class _Point(NamedTuple):
     key: bytes  # the pressures as float64
     ends: np.ndarray
     values: np.ndarray  # the row values the layout gathers: mech, fans, each coupled link's flow
-    crack_flows: np.ndarray  # a view of `values`: the cracks', then the orifices'
     crack_lin: np.ndarray  # |dp| < dp_lin
     crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
     crack_kg: np.ndarray  # k * crack_g: the flow per Pa in the linear band
@@ -388,7 +387,6 @@ class _CompiledNetwork:
             key=key,
             ends=ends,
             values=values,
-            crack_flows=flows,
             crack_lin=lin,
             crack_g=powers[:nc],
             crack_kg=kg,
@@ -464,7 +462,7 @@ def link_flows(
         large_opening_flow(*args, dp_bottom, dp_lin)
         for args, dp_bottom in zip(c.openings[: c.n_orifices], orifice_dp.tolist())
     ]
-    cracks = one_way(at.crack_flows[:nk])
+    cracks = one_way(at.values[c.crack_values][:nk])
     slotted = cracks + orifices + at.opening_flows + one_way(c.fan_flow)
     return {link_id: slotted[slot] for link_id, slot in zip(c.ids, c.slot_of)}
 

@@ -1,11 +1,16 @@
 """Dense linear solve with explicit singularity detection, and the max |x|
 that scales its pivot test and the solvers' convergence test.
 
-`max_abs` takes LAPACK dlange('M', ...) up to a few hundred entries: one
-wrapper call, about 0.6 us on a 5 x 5 matrix where numpy's abs and max take
-about 1.9 us in two calls (2 vCPUs of a shared Xeon).  dlange spends about
-5 ns an entry against numpy's vectorized 0.5 ns, so past that size numpy's
-two calls take over: on a 320 x 320 Jacobian dlange takes 615 us, numpy 64 us.
+`max_abs` takes LAPACK dlange('M', ...) up to LANGE_MAX_SIZE entries: one
+wrapper call, about 0.3 us plus 4.7 ns an entry, where numpy's abs and max
+take about 1.9 us in two calls plus 0.5 ns an entry.  Timed (timeit, best of
+9 x 20000, BLAS on one thread, 2 vCPUs of a shared Xeon) on 16 x 16 to
+21 x 21 matrices and vectors of 256 to 484 entries, dlange was faster
+through 324 entries (1.47 against 1.92 us at 16 x 16, 1.79 against 1.93 us
+at 18 x 18, 1.80 against 1.96 us at 320) and numpy from 361 on (1.97
+against 1.87 us); the two lines cross near 345.  On a 5 x 5 matrix dlange
+takes 0.45 us, numpy 2.0 us; on a 320 x 320 Jacobian dlange takes 615 us,
+numpy 64 us.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ __all__ = ["SolveReport", "lu_solve", "max_abs", "PIVOT_THRESHOLD"]
 # abort logic needs.
 PIVOT_THRESHOLD = 1e-12
 
-# The most entries max_abs hands to dlange (see the module docstring).
-LANGE_MAX_SIZE = 256
+# The most entries max_abs hands to dlange: the measured crossover with
+# numpy's abs and max (see the module docstring).
+LANGE_MAX_SIZE = 340
 
 
 class SolveReport(NamedTuple):
@@ -54,7 +60,7 @@ def lu_solve(matrix, rhs) -> SolveReport:
     magnitude falls below PIVOT_THRESHOLD times the largest initial entry
     or is NaN (or the matrix is all zeros or not finite), and then no
     solution is present.  The largest initial entry comes from `max_abs`,
-    LAPACK dlange on a small matrix.  A non-finite rhs gives a non-finite
+    LAPACK dlange on a matrix of up to 18 x 18.  A non-finite rhs gives a non-finite
     solution.
     """
     a = np.asarray(matrix, dtype=float)
