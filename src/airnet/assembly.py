@@ -348,7 +348,8 @@ class _CompiledNetwork:
         key = pressures.tobytes()
         last = self._point
         same_bc = last is not None and last.boundary.bc is bc
-        if same_bc and last.key == key and last.dp_lin == dp_lin:
+        # Equal bytes in one dimension are n entries; other shapes reach the check.
+        if same_bc and last.key == key and last.dp_lin == dp_lin and pressures.ndim == 1:
             return last
         if pressures.shape != (self.n,):
             shape = pressures.shape

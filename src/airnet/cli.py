@@ -145,7 +145,7 @@ def _network(path: str) -> Network:
 
 
 # (flag, SolverConfig field, help); each flag's type and default are the field's,
-# and argparse stores it under the flag's name ("--max-iter" as args.max_iter).
+# and argparse stores it under the field's name.
 _CONFIG_FLAGS = (
     ("--tol", "tolerance", "mass-balance tolerance, kg/s"),
     ("--max-iter", "max_newton_iters", "Newton iteration budget"),
@@ -165,10 +165,7 @@ def _from_flags(make, **fields):
 
 
 def _config_from(args) -> SolverConfig:
-    values = vars(args)
-    return _from_flags(
-        SolverConfig, **{f: values[flag[2:].replace("-", "_")] for flag, f, _ in _CONFIG_FLAGS}
-    )
+    return _from_flags(SolverConfig, **{f: getattr(args, f) for _, f, _ in _CONFIG_FLAGS})
 
 
 def _boundary_from(args) -> BoundaryState:
@@ -178,12 +175,6 @@ def _boundary_from(args) -> BoundaryState:
         wind_direction_deg=args.wind_dir,
         outdoor_temp_k=args.temp_out_c + 273.15,
     )
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, field, help_text in _CONFIG_FLAGS:
-        default = getattr(SolverConfig, field)
-        parser.add_argument(flag, type=type(default), default=default, help=help_text)
 
 
 def cmd_check(args) -> None:
@@ -267,10 +258,8 @@ def cmd_compare(args) -> None:
             )
 
         # Long format: one row per timestep per strategy.
-        long_rows = [[*TIMESTEP_HEADER, "failed"]] + [
-            timestep_row(rec) + [rec.failed or ""]
-            for strategy in strategies
-            for rec in all_records[strategy]
+        long_rows = [TIMESTEP_HEADER] + [
+            timestep_row(rec) for strategy in strategies for rec in all_records[strategy]
         ]
         # Wide format: timestep rows, one Newton-iteration column per strategy.
         wide_rows = [["timestamp"] + [f"newton_iters_{s.lower()}" for s in strategies]]
@@ -278,10 +267,7 @@ def cmd_compare(args) -> None:
             wide_rows.append(
                 [rec.timestamp] + [all_records[strategy][i].newton_iters for strategy in strategies]
             )
-        summaries = {
-            strategy: asdict(summarize(records)[strategy])
-            for strategy, records in all_records.items()
-        }
+        summaries = {s: asdict(summarize(records)[s]) for s, records in all_records.items()}
         report = {
             "network": args.network,
             "weather": args.weather,
@@ -302,9 +288,7 @@ def cmd_compare(args) -> None:
 
 
 def cmd_gen_weather(args) -> None:
-    if args.days < 1 or args.step_min < 1:
-        raise _Exit(EXIT_USAGE, "error: --days and --step-min must be >= 1")
-    records = generate_weather(days=args.days, step_minutes=args.step_min, seed=args.seed)
+    records = _from_flags(generate_weather, days=args.days, step_minutes=args.step_min, seed=args.seed)
     with _outputs(Path(args.out)) as write:
         write(serialize_weather(records))
     print(f"wrote {len(records)} rows to {args.out}")
@@ -318,40 +302,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     strategies = [s.lower() for s in STRATEGIES]
 
-    p_check = sub.add_parser("check", help="validate a network file")
-    p_check.add_argument("--network", required=True)
+    # Flags shared by several commands, each declared once as a parent parser.
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--network", required=True)
+    solver = argparse.ArgumentParser(add_help=False)
+    for flag, field, help_text in _CONFIG_FLAGS:
+        default = getattr(SolverConfig, field)
+        solver.add_argument(flag, dest=field, type=type(default), default=default, help=help_text)
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("--weather", required=True)
+    series.add_argument("--no-warm-start", action="store_true")
+
+    p_check = sub.add_parser("check", parents=[network], help="validate a network file")
     p_check.set_defaults(handler=cmd_check)
 
-    p_solve = sub.add_parser("solve", help="single steady-state solve")
-    p_solve.add_argument("--network", required=True)
+    p_solve = sub.add_parser("solve", parents=[network, solver], help="single steady-state solve")
     p_solve.add_argument("--strategy", choices=strategies, default="wm")
     p_solve.add_argument("--wind-speed", type=float, default=0.0, help="m/s")
     p_solve.add_argument("--wind-dir", type=float, default=0.0, help="degrees from north")
     p_solve.add_argument("--temp-out-c", type=float, default=20.0)
-    _add_config_flags(p_solve)
     p_solve.set_defaults(handler=cmd_solve)
 
-    p_sim = sub.add_parser("simulate", help="run one strategy over a weather series")
-    p_sim.add_argument("--network", required=True)
-    p_sim.add_argument("--weather", required=True)
+    p_sim = sub.add_parser(
+        "simulate", parents=[network, series, solver], help="run one strategy over a weather series"
+    )
     p_sim.add_argument("--strategy", choices=strategies, default="wm")
     p_sim.add_argument("--out", required=True, help="timestep CSV output path")
-    p_sim.add_argument("--no-warm-start", action="store_true")
-    _add_config_flags(p_sim)
     p_sim.set_defaults(handler=cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", help="benchmark strategies over a weather series")
-    p_cmp.add_argument("--network", required=True)
-    p_cmp.add_argument("--weather", required=True)
-    p_cmp.add_argument(
-        "--strategies",
-        nargs="+",
-        choices=strategies,
-        default=strategies,
+    p_cmp = sub.add_parser(
+        "compare", parents=[network, series, solver], help="benchmark strategies over a weather series"
     )
+    p_cmp.add_argument("--strategies", nargs="+", choices=strategies, default=strategies)
     p_cmp.add_argument("--out", required=True, help="output path prefix")
-    p_cmp.add_argument("--no-warm-start", action="store_true")
-    _add_config_flags(p_cmp)
     p_cmp.set_defaults(handler=cmd_compare)
 
     p_gen = sub.add_parser("gen-weather", help="write a synthetic weather CSV")

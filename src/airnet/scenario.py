@@ -173,8 +173,8 @@ def generate_weather(
     """Synthetic weather series from 2024-01-01 00:00: sinusoidal diurnal
     temperature and a gusty, slowly veering wind.  Deterministic for a given
     seed."""
-    if days < 1 or step_minutes < 1:
-        raise ValueError("days and step_minutes must be >= 1")
+    if days < 1 or not 1 <= step_minutes <= days * 24 * 60:
+        raise ValueError("days must be >= 1 and step_minutes from 1 to days * 1440")
     rng = np.random.default_rng(seed)
     count = days * 24 * 60 // step_minutes
     records = []
@@ -251,6 +251,11 @@ def run_simulation(
     return records
 
 
+def _mean(total: int, count: int) -> float:
+    """total / count to two decimals; NaN for no steps."""
+    return round(total / count, 2) if count else math.nan
+
+
 def summarize(records: list[TimestepRecord]) -> dict[str, StrategySummary]:
     """Aggregate per-strategy iteration statistics.
 
@@ -258,7 +263,8 @@ def summarize(records: list[TimestepRecord]) -> dict[str, StrategySummary]:
     Newton linear solves, while `mean_iters_with_picard_cost` adds the Picard
     iterations spent whenever the initializer ran without converging on its
     own.  Failed steps are excluded from the iteration statistics and
-    reported in `failures`.
+    reported in `failures`; with no converged step the means and median are
+    NaN, the max 0 and the Picard percentage 0.0.
     """
     if not records:
         raise ValueError("no records to summarize")
@@ -269,41 +275,23 @@ def summarize(records: list[TimestepRecord]) -> dict[str, StrategySummary]:
     out: dict[str, StrategySummary] = {}
     for strategy, recs in by_strategy.items():
         ok = [r for r in recs if r.failed is None]
-        failures = len(recs) - len(ok)
-        if ok:
-            newton = np.array([r.newton_iters for r in ok], dtype=float)
-            with_picard = np.array(
-                [
-                    r.newton_iters
-                    + (r.picard_iters if (r.picard_iters > 0 and not r.converged_in_picard) else 0)
-                    for r in ok
-                ],
-                dtype=float,
-            )
-            in_picard = sum(1 for r in ok if r.converged_in_picard)
-            out[strategy] = StrategySummary(
-                strategy=strategy,
-                steps=len(recs),
-                failures=failures,
-                mean_newton_iters=round(float(newton.mean()), 2),
-                median_newton_iters=float(np.median(newton)),
-                max_newton_iters=int(newton.max()),
-                mean_iters_with_picard_cost=round(float(with_picard.mean()), 2),
-                pct_converged_in_picard=round(100.0 * in_picard / len(ok), 1),
-                mean_picard_iters=round(float(np.mean([r.picard_iters for r in ok])), 2),
-            )
-        else:
-            out[strategy] = StrategySummary(
-                strategy=strategy,
-                steps=len(recs),
-                failures=failures,
-                mean_newton_iters=math.nan,
-                median_newton_iters=math.nan,
-                max_newton_iters=0,
-                mean_iters_with_picard_cost=math.nan,
-                pct_converged_in_picard=0.0,
-                mean_picard_iters=math.nan,
-            )
+        n = len(ok)
+        newton = sorted(r.newton_iters for r in ok)
+        out[strategy] = StrategySummary(
+            strategy=strategy,
+            steps=len(recs),
+            failures=len(recs) - n,
+            mean_newton_iters=_mean(sum(newton), n),
+            median_newton_iters=(newton[(n - 1) // 2] + newton[n // 2]) / 2 if n else math.nan,
+            max_newton_iters=newton[-1] if n else 0,
+            mean_iters_with_picard_cost=_mean(
+                sum(r.newton_iters + (0 if r.converged_in_picard else r.picard_iters) for r in ok), n
+            ),
+            pct_converged_in_picard=(
+                round(100.0 * sum(r.converged_in_picard for r in ok) / n, 1) if n else 0.0
+            ),
+            mean_picard_iters=_mean(sum(r.picard_iters for r in ok), n),
+        )
     return out
 
 
@@ -315,6 +303,7 @@ TIMESTEP_HEADER = (
     "converged_in_picard",
     "picard_aborted",
     "max_residual_kg_s",
+    "failed",
 )
 
 
@@ -328,6 +317,7 @@ def timestep_row(rec: TimestepRecord) -> list:
         "true" if rec.converged_in_picard else "false",
         rec.picard_aborted or "",
         f"{rec.max_residual:.9g}",
+        rec.failed or "",
     ]
 
 

@@ -48,9 +48,8 @@ __all__ = [
 
 STRATEGIES = ("NR", "WM", "PNR", "PWM")
 
-# Bounds of the Walton relaxation factor where corrections oscillate.
+# Lower bound of the Walton relaxation factor where corrections oscillate.
 OMEGA_MIN = 0.1
-OMEGA_MAX = 1.0
 
 ABORT_SINGULAR = "singular"
 ABORT_RECIPROCAL = "reciprocal-flow"
@@ -165,7 +164,7 @@ def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None
 
     Full steps (1.0) everywhere, except where the new correction opposes the
     previous one in sign; there the secant factor c / (c - c_prev) damps the
-    oscillation, clamped to [OMEGA_MIN, OMEGA_MAX].  A pure +c/-c flip-flop
+    oscillation, clamped below at OMEGA_MIN.  A pure +c/-c flip-flop
     yields exactly 0.5.
     """
     omega = np.ones(correction.shape)
@@ -176,7 +175,7 @@ def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None
         return omega
     # Where the corrections oppose, c - c_prev adds two nonzero magnitudes: it is
     # never 0 and, as rounding is monotone, |fl(c - c_prev)| >= |c|, so the secant
-    # is at most OMEGA_MAX = 1.  Elsewhere omega stays 1.0, which the clamp keeps.
+    # is at most 1.0.  Elsewhere omega stays 1.0, which the clamp keeps.
     np.divide(correction, correction - correction_prev, out=omega, where=opposing)
     return np.maximum(omega, OMEGA_MIN, out=omega)
 

@@ -653,6 +653,20 @@ def test_pressures_of_another_shape_are_refused_by_their_shape(p):
             an.solve(net, bc, p, strategy)
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3)], ids=["column", "row"])
+def test_pressures_of_another_shape_are_refused_at_the_kept_point(shape):
+    # The kept point is keyed by the pressures' bytes, which a column or row
+    # of the same entries shares; the shape is refused all the same.
+    net = mixed_network()
+    bc = an.BoundaryState(2.0, 0.0, 290.0)
+    p = np.array([1.0, -2.0, 0.5])
+    message = "^" + re.escape(f"pressures of shape {shape} given for 3 zones") + "$"
+    for assemble in (an.residual, an.jacobian, an.picard_system, an.link_flows):
+        an.residual(net, p, bc)
+        with pytest.raises(ValueError, match=message):
+            assemble(net, p.reshape(shape), bc)
+
+
 def hex_fields(flow: an.TwoWayFlow) -> list:
     """The net flow and every field of a TwoWayFlow, floats as float.hex."""
     return [None if v is None else float(v).hex() for v in (flow.net, *flow)]

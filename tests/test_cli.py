@@ -190,6 +190,24 @@ def test_simulate_writes_timestep_csv(capsys, tmp_path):
         assert newton <= 1
 
 
+@pytest.mark.parametrize("max_iter, failed", [("2", "non-convergence"), ("100", "")])
+def test_simulate_marks_each_failed_row(capsys, tmp_path, max_iter, failed):
+    weather = tmp_path / "w.csv"
+    main(["gen-weather", "--days", "1", "--step-min", "180", "--out", str(weather)])
+    out_csv = tmp_path / "run.csv"
+    code, out, _ = run(
+        capsys,
+        "simulate", "--network", DWELLING, "--weather", str(weather),
+        "--strategy", "nr", "--max-iter", max_iter, "--out", str(out_csv),
+    )
+    assert code == 0
+    header, *rows = [line.split(",") for line in out_csv.read_text().strip().split("\n")]
+    assert header[6:9] == ["max_residual_kg_s", "failed", "p_living"]
+    assert len(rows) == 8
+    assert all(row[7] == failed for row in rows)
+    assert out.endswith(f"({len(rows) if failed else 0} failures)\n")
+
+
 def test_simulate_accepts_a_weather_file_with_a_byte_order_mark(capsys, tmp_path):
     rows = "timestamp,wind_speed_m_s,wind_dir_deg,temp_out_c\n2024-01-01T00:00:00,4.0,90.0,24.0\n"
     outputs = []
@@ -323,6 +341,15 @@ def test_gen_weather_writes_480_rows(capsys, tmp_path):
     assert code == 0
     records = an.parse_weather(out_csv.read_text())
     assert len(records) == 480
+
+
+@pytest.mark.parametrize("flags", [["--days", "1", "--step-min", "1441"], ["--days", "0"], ["--step-min", "0"]])
+def test_gen_weather_with_no_step_is_usage_error(capsys, tmp_path, flags):
+    out_csv = tmp_path / "w.csv"
+    code, out, err = run(capsys, "gen-weather", *flags, "--out", str(out_csv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_compare_requires_two_strategies(capsys, tmp_path):

@@ -107,6 +107,19 @@ def test_generate_weather_is_deterministic_and_sized():
     assert all(rec.wind_speed >= 0 for rec in a)
 
 
+@pytest.mark.parametrize(
+    "days, step_minutes", [(1, 1441), (2, 2881), (0, 30), (1, 0)], ids=["1441", "2881", "days", "step"]
+)
+def test_generate_weather_refuses_a_series_with_no_step(days, step_minutes):
+    with pytest.raises(ValueError, match="step_minutes from 1 to days"):
+        an.generate_weather(days=days, step_minutes=step_minutes)
+
+
+def test_generate_weather_takes_one_step_a_series_long():
+    (only,) = an.generate_weather(days=1, step_minutes=1440)
+    assert only.timestamp == "2024-01-01T00:00:00"
+
+
 def test_boundary_from_record_converts_celsius():
     bc = boundary_from_record(WeatherRecord("2024-01-01T00:00:00", 2.0, 90.0, 20.0))
     assert bc.outdoor_temp_k == pytest.approx(293.15)
@@ -264,6 +277,31 @@ def test_summarize_counts_failures_separately():
     assert summary.mean_newton_iters == 5
 
 
+def test_summarize_all_failed_has_nan_means():
+    records = [make_record(3, picard=2, failed="non-convergence"), make_record(9, failed="singular-jacobian")]
+    summary = an.summarize(records)["PNR"]
+    assert (summary.steps, summary.failures) == (2, 2)
+    assert summary.max_newton_iters == 0
+    assert summary.pct_converged_in_picard == 0.0
+    for value in (summary.mean_newton_iters, summary.median_newton_iters,
+                  summary.mean_iters_with_picard_cost, summary.mean_picard_iters):
+        assert np.isnan(value)
+
+
+@pytest.mark.parametrize("newton", [[4, 1, 9], [4, 1, 9, 2], [7, 7], [0, 1, 2, 3, 50]])
+def test_summarize_mean_median_and_max_match_numpy(newton):
+    records = [make_record(n, picard=n % 3, in_picard=n == 0) for n in newton]
+    with_picard = [n + (0 if n == 0 else n % 3) for n in newton]
+    records.append(make_record(1000, failed="non-convergence"))
+    summary = an.summarize(records)["PNR"]
+    assert summary.mean_newton_iters == round(float(np.mean(newton)), 2)
+    assert summary.mean_iters_with_picard_cost == round(float(np.mean(with_picard)), 2)
+    assert summary.mean_picard_iters == round(float(np.mean([n % 3 for n in newton])), 2)
+    assert summary.median_newton_iters == float(np.median(newton))
+    assert summary.max_newton_iters == max(newton)
+    assert type(summary.max_newton_iters) is int
+
+
 def test_summarize_groups_strategies():
     records = [make_record(3, strategy="NR"), make_record(1, strategy="WM")]
     summaries = an.summarize(records)
@@ -283,7 +321,8 @@ def test_timestep_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == (
         "timestamp,strategy,picard_iters,newton_iters,converged_in_picard,"
-        "picard_aborted,max_residual_kg_s,p_room"
+        "picard_aborted,max_residual_kg_s,failed,p_room"
     )
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "WM"
+    assert lines[1].split(",")[7] == ""
