@@ -16,7 +16,8 @@ reference height and the link elevation.
 The cracks, and the large openings between zones of exactly equal density,
 whose law is then the crack law with exponent 1/2, are evaluated in one
 array pass; every other large opening takes one call of its law per point.
-`jacobian` sums the residual with the matrix and keeps it for `residual`.
+The links are evaluated once per point, and `residual`, `jacobian` and
+`picard_system` each sum only the terms they return.
 """
 
 from __future__ import annotations
@@ -153,12 +154,11 @@ class _Point(NamedTuple):
     dp_lin: float
     key: bytes  # the pressures as float64
     ends: np.ndarray
-    values: np.ndarray  # the row values the layout gathers: mech, fans, each coupled link's flow
+    values: np.ndarray  # the row values the residual gathers: mech, fans, each coupled link's flow
     crack_lin: np.ndarray  # |dp| < dp_lin
     crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
     crack_kg: np.ndarray  # k * crack_g: the flow per Pa in the linear band
     opening_flows: list[TwoWayFlow]  # each non-orifice opening's, with its derivative
-    residual: np.ndarray | None = None  # the zone rows, once `jacobian` has summed them
 
 
 class _CompiledNetwork:
@@ -171,17 +171,16 @@ class _CompiledNetwork:
     dp_bottom, as a zone-to-zone dp is never -0.0, so the law is the crack
     law at k = cd*W*H*sqrt(2*rho), n = 1/2, and the crack pass evaluates the
     orifice with the law's bits.  Cracks and openings couple their two end
-    pressures; fans do not.  The zone balances and the matrix entries are
-    summed by one np.bincount over one layout, whose terms are gathered back
-    into link order, `from` end before `to` end, so each sum is added up in
-    the same order, with the same rounding, as a loop over the links would
-    give it.  The residual and the Jacobian share one np.bincount, as do the
-    Picard right-hand side and matrix; a residual alone scatters the row
-    terms, the first part of the layout.  A point keeps the row values that
-    layout gathers, the mechanical flows, the fan flows and each coupled
-    link's flow, in one vector copied from `row_values` and filled in by the
-    crack pass and the opening laws, so the residual gathers from it and the
-    Jacobian appends the slopes to it.
+    pressures; fans do not.  The residual, the Jacobian and the Picard system
+    are each summed by one np.bincount over a layout of their own, whose
+    terms are gathered back into link order, `from` end before `to` end, so
+    each sum is added up in the same order, with the same rounding, as a
+    loop over the links would give it; a term at an external end is in no
+    layout.  A point keeps the row values the residual gathers, the
+    mechanical flows, the fan flows and each coupled link's flow, in one
+    vector copied from `row_values` and filled in by the crack pass and the
+    opening laws.  The Jacobian gathers from the slopes alone, with the
+    opening laws' derivatives appended when the network has such openings.
 
     The ends of the coupled links sit in one array: the from ends at each
     link's elevation, then the to ends there, then the from and then the to
@@ -263,14 +262,13 @@ class _CompiledNetwork:
         self.at_f, self.at_t = slice(0, coupled), slice(coupled, 2 * coupled)
         self.mid_f, self.mid_t = slice(2 * coupled, 3 * coupled - nk), slice(3 * coupled - nk, None)
 
-        # One layout scatters the zone balances, then the n x n matrix of the
-        # coupled links, in one np.bincount: a zone row's bin is its zone, the
-        # matrix entry (r, c) is bin n + 1 + r * n + c, and a term at an external
-        # end goes to the spare bin n.  The row terms are the n base values, then
-        # each link's from and to terms in link order; the matrix terms are each
-        # coupled link's (f,f), (f,t), (t,f), (t,t) entries in link order.  The
-        # values are the n base values, each fan's, each coupled link's row
-        # value, then its matrix value.
+        # The residual's terms are the n mechanical flows, then each link's
+        # from and to terms in link order, and its bins are the zones.  The
+        # Jacobian's terms are each coupled link's (f,f), (f,t), (t,f), (t,t)
+        # entries in link order, gathered from the slopes by slot, and entry
+        # (r, c) is bin r * n + c.  A term at an external end is in neither:
+        # np.bincount adds each bin's terms in input order, so leaving out
+        # another bin's terms changes no sum.
         slot_of = np.empty(len(slotted), dtype=np.intp)
         slot_of[order] = np.arange(len(slotted))
         self.slot_of = slot_of.tolist()
@@ -281,32 +279,31 @@ class _CompiledNetwork:
         self.crack_values = slice(n + nf, n + nf + nc)
         self.opening_values = slice(n + nf + nc, n + nf + coupled)
         row_value = np.where(slot_of < coupled, n + nf + slot_of, n + slot_of - coupled)
+        link_bins = np.column_stack((col_f[slot_of], col_t[slot_of])).ravel()
+        row_bin = np.concatenate((np.arange(n), link_bins))
+        in_zone = row_bin < n
+        self.row_index = row_bin[in_zone]
+        self.row_gather = np.concatenate((np.arange(n), np.repeat(row_value, 2)))[in_zone]
+        self.row_sign = np.concatenate((np.ones(n), np.tile(_ROW_SIGNS, len(slotted))))[in_zone]
         coupled_slots = slot_of[slot_of < coupled]
         f, t = col_f[coupled_slots], col_t[coupled_slots]
         rows = np.column_stack((f, f, t, t)).ravel()
         cols = np.column_stack((f, t, f, t)).ravel()
-        self.index = np.concatenate((
-            np.arange(n),
-            np.column_stack((col_f[slot_of], col_t[slot_of])).ravel(),
-            np.where((rows < n) & (cols < n), n + 1 + rows * n + cols, n),
-        ))
-        self.gather = np.concatenate(
-            (np.arange(n), np.repeat(row_value, 2), np.repeat(n + nf + coupled + coupled_slots, 4))
-        )
-        self.sign = np.concatenate(
-            (np.ones(n), np.tile(_ROW_SIGNS, len(slotted)), np.tile(_ENTRY_SIGNS, coupled))
-        )
-        # The row terms alone, for a residual without its matrix.
-        r = n + 2 * len(slotted)
-        self.row_index, self.row_gather = self.index[:r], self.gather[:r]
-        self.row_sign = self.sign[:r]
+        in_zones = (rows < n) & (cols < n)
+        self.entry_index = (rows * n + cols)[in_zones]
+        self.entry_gather = np.repeat(coupled_slots, 4)[in_zones]
+        self.entry_sign = np.tile(_ENTRY_SIGNS, coupled)[in_zones]
 
-        # The Picard system scatters over the same layout, the rhs in the rows,
-        # from -mech per zone, -flow per fan and G per coupled link; G's row
-        # terms take the to minus from offset where Picard takes dp (a crack's
-        # elevation, an opening's mid-height), as G * (off_f - off_t) is constant.
+        # The Picard system scatters the rhs over the residual's layout and the
+        # matrix over the Jacobian's, from bin n on, in one np.bincount.  Its
+        # values are -mech per zone, -flow per fan and G per coupled link; G's
+        # row terms take the to minus from offset where Picard takes dp (a
+        # crack's elevation, an opening's mid-height), as G * (off_f - off_t)
+        # is constant.
         self.neg_mech_fans = -mech_fans
-        self.picard_gather = np.concatenate((self.row_gather, np.repeat(n + nf + coupled_slots, 4)))
+        self.picard_index = np.concatenate((self.row_index, n + self.entry_index))
+        self.picard_gather = np.concatenate((self.row_gather, n + nf + self.entry_gather))
+        self.picard_sign = np.concatenate((self.row_sign, self.entry_sign))
         self.picard_rhs = np.flatnonzero(self.row_gather >= n + nf)
         s = self.row_gather[self.picard_rhs] - (n + nf)
         self.rhs_f = np.where(s < nk, s, s + 2 * coupled - nk)
@@ -319,7 +316,7 @@ class _CompiledNetwork:
         wind = np.array([boundary_pressure(e, bc) for e in self.externals])
         ends = self.ends.copy()
         ends[self.facade_ends] = wind.take(self.facade_node) - (rho_out * GRAVITY) * self.facade_dz
-        coef = self.sign.copy()
+        coef = self.picard_sign.copy()
         coef[self.picard_rhs] *= ends.take(self.rhs_t) - ends.take(self.rhs_f)
         args = [
             (w, h, cd, rho_out if rf is None else rf, rho_out if rt is None else rt)
@@ -328,13 +325,6 @@ class _CompiledNetwork:
         mid_k = [_orifice_k(w, h, cd, 0.5 * (rf + rt)) for w, h, cd, rf, rt in args]
         opening_args = args[self.n_orifices :]
         return _Boundary(bc=bc, ends=ends, picard_coef=coef, opening_args=opening_args, mid_k=mid_k)
-
-    def scatter(self, values, gather, coef) -> tuple[np.ndarray, np.ndarray]:
-        """The zone rows and the n x n matrix the whole layout sums from the
-        values its terms gather, each term times its coefficient."""
-        n = self.n
-        summed = np.bincount(self.index, values.take(gather) * coef, minlength=n + 1 + n * n)
-        return summed[:n], summed[n + 1 :].reshape(n, n)
 
     def point(self, p, bc: BoundaryState, dp_lin: float) -> _Point:
         """The links evaluated at p, kept until a call brings another point;
@@ -376,11 +366,12 @@ class _CompiledNetwork:
         flows = values[self.crack_values]
         np.copysign(kh, crack_dp, out=flows)
         np.multiply(kg, crack_dp, out=flows, where=lin)
-        opening_flows = [
-            large_opening_flow(*args, dp_bottom, dp_lin)
-            for args, dp_bottom in zip(b.opening_args, dp[nc:].tolist())
-        ]
-        if opening_flows:
+        opening_flows = []
+        if b.opening_args:
+            opening_flows = [
+                large_opening_flow(*args, dp_bottom, dp_lin)
+                for args, dp_bottom in zip(b.opening_args, dp[nc:].tolist())
+            ]
             values[self.opening_values] = [two_way.net for two_way in opening_flows]
         last = self._point = _Point(
             boundary=b,
@@ -415,30 +406,23 @@ def residual(
 ) -> np.ndarray:
     """Net mass inflow per zone (kg/s), in network zone order."""
     c = _compiled(net)
-    at = c.point(p, bc, dp_lin)
-    if at.residual is not None:
-        return at.residual.copy()
-    terms = at.values.take(c.row_gather) * c.row_sign
-    return np.bincount(c.row_index, terms, minlength=c.n + 1)[: c.n]
+    terms = c.point(p, bc, dp_lin).values.take(c.row_gather) * c.row_sign
+    return np.bincount(c.row_index, terms, minlength=c.n)
 
 
 def jacobian(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> np.ndarray:
-    """Derivative of the residual with respect to the zone pressures; the
-    residual, summed with it, is kept for a `residual` call at this point."""
+    """Derivative of the residual with respect to the zone pressures."""
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
     slopes = c.crack_nk * at.crack_g
     np.copyto(slopes, at.crack_kg, where=at.crack_lin)
     if at.opening_flows:
-        derivatives = [two_way.derivative for two_way in at.opening_flows]
-        values = np.concatenate((at.values, slopes, derivatives))
-    else:
-        values = np.concatenate((at.values, slopes))
-    rows, matrix = c.scatter(values, c.gather, c.sign)
-    c._point = _Point(*at[:-1], rows)  # the point with its rows, replaced whole
-    return matrix
+        slopes = np.concatenate((slopes, [two_way.derivative for two_way in at.opening_flows]))
+    n = c.n
+    terms = slopes.take(c.entry_gather) * c.entry_sign
+    return np.bincount(c.entry_index, terms, minlength=n * n).reshape(n, n)
 
 
 def link_flows(
@@ -495,5 +479,7 @@ def picard_system(
         crack_conductance(k, 0.5, dp, dp_lin) for k, dp in zip(b.mid_k, mid_dp.tolist())
     ]
     values = np.concatenate((c.neg_mech_fans, at.crack_kg[: c.n_cracks], openings))
-    rhs, matrix = c.scatter(values, c.picard_gather, b.picard_coef)
-    return LinearSystem(matrix=matrix, rhs=rhs)
+    n = c.n
+    terms = values.take(c.picard_gather) * b.picard_coef
+    summed = np.bincount(c.picard_index, terms, minlength=n + n * n)
+    return LinearSystem(matrix=summed[n:].reshape(n, n), rhs=summed[:n])

@@ -167,11 +167,11 @@ def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None
     oscillation, clamped below at OMEGA_MIN.  A pure +c/-c flip-flop
     yields exactly 0.5.
     """
-    omega = np.ones(correction.shape)
+    omega = np.ones(len(correction))
     if correction_prev is None:
         return omega
     opposing = correction * correction_prev < 0.0
-    if not opposing.any():
+    if not np.count_nonzero(opposing):
         return omega
     # Where the corrections oppose, c - c_prev adds two nonzero magnitudes: it is
     # never 0 and, as rounding is monotone, |fl(c - c_prev)| >= |c|, so the secant
@@ -248,7 +248,6 @@ def solve(
     correction_prev = None
     iters = 0
     failure = None  # (SolveError subclass, message) once Newton gives up
-    matrix = None  # the Jacobian at p, once asked for
     while not _converged(f, cfg):
         if iters >= cfg.max_newton_iters:
             failure = NonConvergenceError, (
@@ -256,7 +255,7 @@ def solve(
                 f"(max residual {max_abs(f):.3e} kg/s)"
             )
             break
-        report = lu_solve(jacobian(net, p, bc, cfg.dp_lin) if matrix is None else matrix, -f)
+        report = lu_solve(jacobian(net, p, bc, cfg.dp_lin), -f)
         if report.singular:
             failure = SingularJacobianError, (
                 f"singular Jacobian at Newton iteration {iters} "
@@ -270,8 +269,6 @@ def solve(
             p = p + cfg.fixed_relax * correction
         correction_prev = correction
         iters += 1
-        # Jacobian first: at a new iterate it sums the residual in the same scatter.
-        matrix = jacobian(net, p, bc, cfg.dp_lin)
         f = residual(net, p, bc, cfg.dp_lin)
 
     outcome = SolveOutcome(

@@ -7,10 +7,12 @@ they can cross-check the library without sharing its code paths.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 import airnet as an
@@ -189,6 +191,89 @@ def many_openings_network():
     return net
 
 
+class OpenBuilding(NamedTuple):
+    net: an.Network
+    bc: an.BoundaryState
+    p: np.ndarray  # zone pressures that put a neutral plane inside each zone's first door
+
+
+def random_open_building(rng: np.random.Generator) -> OpenBuilding:
+    """A random building with doors, and a point at which they carry two-way flow.
+
+    Two to five zones take their temperatures from three seeded values, so
+    some doors join zones of equal density.  Each zone hangs on a door to a
+    facade or to an earlier zone, and its pressure is set so that the door's
+    neutral plane lies inside it whenever the two densities differ.  Every
+    zone also has a facade crack; a few cracks and doors join random pairs,
+    and one building in three has a fan.
+    """
+    n = int(rng.integers(2, 6))
+    temps = np.round(rng.uniform(285.0, 305.0, 3), 2).tolist()
+    zones = tuple(
+        an.Zone(
+            f"z{i}",
+            float(rng.choice(temps)),
+            round(float(rng.uniform(0.0, 6.0)), 2),
+            float(rng.choice([0.0, 0.0, round(float(rng.uniform(-0.02, 0.02)), 4)])),
+        )
+        for i in range(n)
+    )
+    externals = tuple(
+        an.ExternalNode(f"e{j}", 0.0, tuple(np.round(rng.uniform(-1, 1, 8), 3).tolist()))
+        for j in range(2)
+    )
+    facades = [e.id for e in externals]
+    bc = random_boundary(rng)
+    rho_out = an.air_density(bc.outdoor_temp_k)
+    # (density, reference height, pressure there) of each node placed so far
+    known = {e.id: (rho_out, e.ref_height_m, an.boundary_pressure(e, bc)) for e in externals}
+    p = np.zeros(n)
+    links: list[an.Link] = []
+
+    def add(a: str, b: str, z: float, model) -> None:
+        links.append(an.Link(f"L{len(links)}", a, b, z, model))
+
+    def door(a: str, b: str, z: float) -> float:
+        """Add a door from a to b at elevation z; its height."""
+        height = round(float(rng.uniform(0.5, 2.5)), 2)
+        add(a, b, z, an.LargeOpening(round(float(rng.uniform(0.5, 1.5)), 2), height))
+        return height
+
+    def crack(a: str, b: str) -> None:
+        k, exponent = float(10 ** rng.uniform(-2.5, -1.5)), float(rng.uniform(0.5, 1.0))
+        add(a, b, round(float(rng.uniform(0.0, 8.0)), 2), an.Crack(k, exponent))
+
+    for i, zone in enumerate(zones):
+        parent = str(rng.choice(facades + [z.id for z in zones[:i]]))
+        z = round(float(rng.uniform(0.0, 6.0)), 2)
+        height = door(parent, zone.id, z)
+        rho_from, ref_from, base_from = known[parent]
+        rho = an.air_density(zone.temperature_k)
+        gradient = an.GRAVITY * (rho_from - rho)
+        # dp at the bottom edge is gradient * (neutral height above it).
+        if gradient:
+            dp_bottom = gradient * rng.uniform(0.1, 0.9) * height
+        else:
+            dp_bottom = rng.uniform(-2.0, 2.0)
+        from_z = base_from - rho_from * an.GRAVITY * (z - ref_from)
+        p[i] = from_z - dp_bottom + rho * an.GRAVITY * (z - zone.ref_height_m)
+        known[zone.id] = (rho, zone.ref_height_m, p[i])
+        crack(str(rng.choice(facades)), zone.id)
+    ids = facades + [z.id for z in zones]
+    for _ in range(int(rng.integers(0, 3))):
+        a, b = rng.choice(ids, 2, replace=False).tolist()
+        if rng.random() < 0.5:
+            door(a, b, round(float(rng.uniform(0.0, 6.0)), 2))
+        else:
+            crack(a, b)
+    if rng.random() < 1 / 3:
+        a, b = rng.choice(ids, 2, replace=False).tolist()
+        add(a, b, 1.0, an.Fan(round(float(rng.uniform(-0.02, 0.02)), 4)))
+    net = an.Network(zones=zones, external_nodes=externals, links=tuple(links))
+    assert an.validate(net) == []
+    return OpenBuilding(net, bc, p)
+
+
 def random_boundary(rng: np.random.Generator) -> an.BoundaryState:
     return an.BoundaryState(
         wind_speed=float(rng.uniform(0, 8)),
@@ -336,3 +421,40 @@ def reference_walton_relaxation(correction: np.ndarray, correction_prev) -> np.n
     denom = correction - correction_prev
     secant = np.divide(correction, denom, out=np.ones(correction.shape), where=denom != 0.0)
     return np.where(opposing, np.minimum(np.maximum(secant, 0.1), 1.0), 1.0)
+
+
+def hex_fields(flow: an.TwoWayFlow) -> list:
+    """The net flow and every field of a TwoWayFlow, floats as float.hex."""
+    return [None if v is None else float(v).hex() for v in (flow.net, *flow)]
+
+
+def matches_the_loop(net, p, bc, dp_lin) -> bool:
+    """Assert that the array assembly gives the link loop's residual,
+    Jacobian, Picard system and link flows bit for bit; True when the loop
+    found a reciprocal opening and the Picard system was refused for it.
+
+    The residual and the Jacobian are asked for in both orders, each at a
+    point of its own: residual first, as Newton asks at each iterate, and
+    Jacobian first, where the Jacobian evaluates the links itself."""
+    loop = loop_assembly(net, p, bc, dp_lin)
+    residual, jacobian = loop.residual.tobytes(), loop.jacobian.tobytes()
+    assert an.residual(net, p, bc, dp_lin).tobytes() == residual
+    assert an.jacobian(net, p, bc, dp_lin).tobytes() == jacobian
+    again = dataclasses.replace(bc)
+    assert an.jacobian(net, p, again, dp_lin).tobytes() == jacobian
+    assert an.residual(net, p, again, dp_lin).tobytes() == residual
+    if isinstance(loop.picard, str):
+        with pytest.raises(an.ReciprocalFlowError) as err:
+            an.picard_system(net, p, bc, dp_lin)
+        assert err.value.link_id == loop.picard
+    else:
+        system = an.picard_system(net, p, bc, dp_lin)
+        assert system.matrix.tobytes() == loop.picard[0].tobytes()
+        assert system.rhs.tobytes() == loop.picard[1].tobytes()
+    flows = an.link_flows(net, p, bc, dp_lin)
+    assert list(flows) == [link.id for link in net.links]
+    for link_id, flow in flows.items():
+        # Every field, an opening's derivative too, and the sign of a zero.
+        two_way = loop.flows[link_id]
+        assert hex_fields(flow) == hex_fields(two_way), link_id
+    return isinstance(loop.picard, str)

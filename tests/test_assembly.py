@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 import airnet as an
 from airnet.scenario import boundary_from_record
 from helpers import (
+    hex_fields,
     loop_assembly,
     many_openings_network,
+    matches_the_loop,
     oracle_link_dp,
     oracle_residual,
     random_boundary,
@@ -667,44 +669,6 @@ def test_pressures_of_another_shape_are_refused_at_the_kept_point(shape):
             assemble(net, p.reshape(shape), bc)
 
 
-def hex_fields(flow: an.TwoWayFlow) -> list:
-    """The net flow and every field of a TwoWayFlow, floats as float.hex."""
-    return [None if v is None else float(v).hex() for v in (flow.net, *flow)]
-
-
-def matches_the_loop(net, p, bc, dp_lin) -> bool:
-    """Assert that the array assembly gives the link loop's residual,
-    Jacobian, Picard system and link flows bit for bit; True when the loop
-    found a reciprocal opening and the Picard system was refused for it.
-
-    The residual and the Jacobian are asked for in both orders, each at a
-    point of its own: residual first, as Picard hands its iterate to Newton,
-    and Jacobian first, as Newton asks at a new iterate, where one scatter
-    sums both."""
-    loop = loop_assembly(net, p, bc, dp_lin)
-    residual, jacobian = loop.residual.tobytes(), loop.jacobian.tobytes()
-    assert an.residual(net, p, bc, dp_lin).tobytes() == residual
-    assert an.jacobian(net, p, bc, dp_lin).tobytes() == jacobian
-    again = dataclasses.replace(bc)
-    assert an.jacobian(net, p, again, dp_lin).tobytes() == jacobian
-    assert an.residual(net, p, again, dp_lin).tobytes() == residual
-    if isinstance(loop.picard, str):
-        with pytest.raises(an.ReciprocalFlowError) as err:
-            an.picard_system(net, p, bc, dp_lin)
-        assert err.value.link_id == loop.picard
-    else:
-        system = an.picard_system(net, p, bc, dp_lin)
-        assert system.matrix.tobytes() == loop.picard[0].tobytes()
-        assert system.rhs.tobytes() == loop.picard[1].tobytes()
-    flows = an.link_flows(net, p, bc, dp_lin)
-    assert list(flows) == [link.id for link in net.links]
-    for link_id, flow in flows.items():
-        # Every field, an opening's derivative too, and the sign of a zero.
-        two_way = loop.flows[link_id]
-        assert hex_fields(flow) == hex_fields(two_way), link_id
-    return isinstance(loop.picard, str)
-
-
 @pytest.mark.parametrize("dp_lin", [1e-3, 0.5])
 def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
     rng = np.random.default_rng(13)
@@ -722,12 +686,11 @@ def test_array_assembly_matches_the_link_loop_bit_for_bit(dp_lin):
 
 
 def test_arrays_returned_at_a_point_are_the_callers_own():
-    # A point keeps the row values the residual gathers and the Jacobian
-    # extends, and the Jacobian keeps the residual it sums with its matrix.
-    # What the caller changes in place, in any call's result, changes nothing
-    # a later call at the same point returns, in any call order: a residual
-    # at a miss (scattered from the kept values) and at a hit (the kept rows),
-    # a Jacobian, and the link flows.
+    # A point keeps the row values the residual gathers and the slopes'
+    # factors the Jacobian gathers from.  What the caller changes in place,
+    # in any call's result, changes nothing a later call at the same point
+    # returns, in any call order: a residual, a Jacobian and the link flows,
+    # each at a miss and at a hit.
     rng = np.random.default_rng(17)
     nets = [mixed_network(), many_openings_network(), facade_windows_network()]
     nets.append(an.load_network(an.bundled_example_path("dwelling5")))

@@ -1,11 +1,13 @@
-"""Properties over random crack networks and boundaries, and of the Walton
-relaxation factors over random corrections.
+"""Properties over random crack networks and boundaries, over random open
+buildings, and of the Walton relaxation factors over random corrections.
 
 Each strategy must either raise NonConvergenceError / SingularJacobianError,
 or return finite pressures whose residual, recomputed by the independent
 oracle, meets the tolerance.  A raised SolveError carries the iterate it
 reached and that iterate's residual.  When all four strategies converge,
-they agree within the cross-strategy bound of the acceptance suite.
+they agree within the cross-strategy bound of the acceptance suite.  On an
+open building the compiled assembly equals the link loop bit for bit, and
+the link flows balance each zone's residual.
 """
 
 import dataclasses
@@ -19,9 +21,11 @@ from hypothesis import strategies as st
 
 import airnet as an
 from helpers import (
+    matches_the_loop,
     oracle_residual,
     random_boundary,
     random_crack_network,
+    random_open_building,
     reference_walton_relaxation,
 )
 
@@ -96,6 +100,36 @@ def test_strategies_that_all_converge_agree(seed, warm):
     for a in solutions:
         for b in solutions:
             assert np.all(np.abs(a - b) <= np.maximum(1e-6, 1e-9 * np.abs(a)))
+
+
+def zone_balance(net: an.Network, flows: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Each zone's mechanical flow plus the net flows of its links, fans
+    among them, summed in link order; and the sum of the terms' magnitudes."""
+    zone = {z.id: i for i, z in enumerate(net.zones)}
+    total = np.array([z.mech_flow_kg_s for z in net.zones])
+    size = np.abs(total)
+    for link in net.links:
+        flow = flows[link.id].net
+        for node, sign in ((link.from_node, -1.0), (link.to_node, 1.0)):
+            if node in zone:
+                total[zone[node]] += sign * flow
+                size[zone[node]] += abs(flow)
+    return total, size
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dp_lin=st.sampled_from([1e-3, 0.5]))
+def test_open_building_assembly_matches_the_link_loop(seed, dp_lin):
+    # Doors with neutral planes inside them, doors to facades (whose outer
+    # ends no scatter sums) and equal-density doors, at the building's own
+    # point, at a point away from it and at zero pressures.
+    rng = np.random.default_rng(seed)
+    net, bc, p = random_open_building(rng)
+    for at in (p, p + rng.uniform(-10.0, 10.0, len(p)), np.zeros(len(p))):
+        matches_the_loop(net, at, bc, dp_lin)
+        balance, size = zone_balance(net, an.link_flows(net, at, bc, dp_lin))
+        residual = an.residual(net, at, bc, dp_lin)
+        assert np.all(np.abs(balance - residual) <= 4 * np.finfo(float).eps * size)
 
 
 # Corrections with zeros of both signs, the smallest subnormals (whose

@@ -74,12 +74,27 @@ def test_fixed_and_walton_agree_but_fixed_needs_more_iterations():
     assert fixed.strategy == "NR" and walton.strategy == "WM"
 
 
-def test_newton_counts_zero_iterations_from_converged_start():
+def test_newton_counts_zero_iterations_from_converged_start(monkeypatch):
+    # A start whose residual passes asks for no Jacobian and no linear solve.
     net = symmetric_zone()
     cfg = an.SolverConfig()
     first = an.solve(net, BC10, None, "WM", cfg)
+    calls = []
+
+    def counted(name):
+        original = getattr(solvers, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("jacobian", "lu_solve"):
+        monkeypatch.setattr(solvers, name, counted(name))
     again = an.solve(net, BC10, first.pressures, "WM", cfg)
     assert again.newton_iters == 0
+    assert calls == []
 
 
 def test_non_convergence_carries_diagnostics():
@@ -341,8 +356,9 @@ def test_outcome_residual_matches_fresh_recomputation():
 @pytest.mark.parametrize("strategy", an.STRATEGIES)
 def test_one_residual_per_iterate(monkeypatch, strategy):
     # The start, every Picard update and every Newton step each get exactly
-    # one residual evaluation, and a solve evaluates no link flows.
-    calls = {"residual": 0, "link_flows": 0}
+    # one residual evaluation, each Newton step one Jacobian, and a solve
+    # evaluates no link flows.
+    calls = {"residual": 0, "jacobian": 0, "link_flows": 0}
 
     def counted(name):
         original = getattr(solvers, name)
@@ -358,9 +374,10 @@ def test_one_residual_per_iterate(monkeypatch, strategy):
     net = an.load_network(an.bundled_example_path("dwelling5"))
     p = None
     for rec in an.generate_weather(days=1, step_minutes=30, seed=42):
-        calls.update(residual=0, link_flows=0)
+        calls.update(dict.fromkeys(calls, 0))
         out = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig())
         assert calls["residual"] == 1 + out.picard_iters_used + out.newton_iters
+        assert calls["jacobian"] == out.newton_iters
         assert calls["link_flows"] == 0
         p = out.pressures
 
@@ -383,11 +400,13 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
     # and ** n over every crack and every opening between zones of equal
     # density, which is a crack of exponent 1/2, and one law call per other
     # opening.  A second call at the iterate evaluates nothing: the Picard
-    # system takes one mid-height conductance per opening, and `residual` after
-    # `jacobian` reads the rows the Jacobian summed with its matrix, so a
-    # Newton iterate makes one np.bincount.  Nothing calls a crack law or the
-    # separate derivative law.  On dwelling5 the law is never called;
-    # many_openings_network keeps the law path covered.
+    # system takes one mid-height conductance per opening.  Each call that
+    # returns makes one np.bincount.  A Newton iterate asks for its residual
+    # and then, only when a linear solve follows, its Jacobian, so a solve
+    # makes one Jacobian per Newton iteration and none at the iterate whose
+    # residual passes.  Nothing calls a crack law or the separate derivative
+    # law.  On dwelling5 the law is never called; many_openings_network keeps
+    # the law path covered.
     names = ["power pass", "opening", "opening derivative", "crack law", "conductance", "bincount"]
     calls = dict.fromkeys(names, 0)
     powers = []  # how many powers each power pass computed
@@ -448,15 +467,18 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
         log.clear()
         powers.clear()
         p = None
+        solves = []  # (boundary, Newton iterations) per solve
         for rec in an.generate_weather(days=1, step_minutes=30, seed=42):
-            p = an.solve(net, boundary_from_record(rec), p, strategy, an.SolverConfig()).pressures
+            bc = boundary_from_record(rec)
+            out = an.solve(net, bc, p, strategy, an.SolverConfig())
+            solves.append((bc, out.newton_iters))
+            p = out.pressures
         iterates = []  # the calls at each distinct iterate, in order
         for call in log:
             last = iterates[-1][-1] if iterates else None
             if last is None or call[1] is not last[1] or call[2] != last[2]:
                 iterates.append([])
             iterates[-1].append(call)
-        newton = 0
         for calls_here in iterates:
             first, *later = [made for *_, made in calls_here]
             assert (first["power pass"], first["opening"]) == (1, openings - orifices)
@@ -465,12 +487,19 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
                 assert made["opening derivative"] == made["crack law"] == 0
                 picard = name == "picard_system" and not refused
                 assert made["conductance"] == (openings if picard else 0)
+                assert made["bincount"] == (0 if refused else 1)
             order = [name for name, *_ in calls_here]
-            if order == ["jacobian", "residual"]:
-                newton += 1
-                assert sum(made["bincount"] for *_, made in calls_here) == 1
+            if "jacobian" in order:
+                # Picard may have stopped at the iterate it hands to Newton.
+                newton = [name for name in order if name != "picard_system"]
+                assert newton == ["residual", "jacobian"]
+                assert order[-1] == "jacobian"
+        for bc, newton_iters in solves:
+            here = [[name for name, *_ in its] for its in iterates if its[0][1] is bc]
+            assert sum(order.count("jacobian") for order in here) == newton_iters
+            assert "jacobian" not in here[-1]
         assert set(powers) == {2 * (cracks + orifices)}
-        assert newton > 0
+        assert sum(newton_iters for _, newton_iters in solves) > 0
         picard = any(name == "picard_system" for name, *_ in log)
         assert picard == (strategy in ("PNR", "PWM"))
 
