@@ -16,8 +16,8 @@ reference height and the link elevation.
 The cracks, and the large openings between zones of exactly equal density,
 whose law is then the crack law with exponent 1/2, are evaluated in one
 array pass; every other large opening takes one call of its law per point.
-The links are evaluated once per point, and `residual`, `jacobian` and
-`picard_system` each sum only the terms they return.
+The links are evaluated once per point, and `residual`, `jacobian`,
+`picard_system` and `link_flows` each take only what they return from it.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class BoundaryState:
     def __post_init__(self):
         for name in ("wind_speed", "wind_direction_deg", "outdoor_temp_k"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ValueError(f"non-finite {name}: {getattr(self, name)}")
         if self.wind_speed < 0:
             raise ValueError(f"wind speed must be >= 0, got {self.wind_speed}")
         if self.outdoor_temp_k <= 0:
@@ -428,27 +428,30 @@ def jacobian(
 def link_flows(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
 ) -> dict[str, TwoWayFlow]:
-    """Per-link flows at the given pressures, in link order.
+    """Per-link flows at the given pressures, in link order, read from the
+    point the residual and the Jacobian use: no link law runs again.
 
     The signed flow (positive from -> to) is `TwoWayFlow.net`; the two
     directional components differ from the trivial split only for
-    bidirectional large openings.
+    bidirectional large openings.  Every large opening's record carries its
+    derivative, as `large_opening_flow` returns it.
     """
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
 
-    def one_way(flows: np.ndarray) -> list[TwoWayFlow]:
-        return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows.tolist()]
+    def one_way(flows: list[float]) -> list[TwoWayFlow]:
+        return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows]
 
-    # An orifice's flows come from the law, which gives its whole TwoWayFlow.
     nk = c.n_cracks
-    orifice_dp = at.ends[c.at_f][nk : c.n_pow] - at.ends[c.at_t][nk : c.n_pow]
+    flows = at.values[c.crack_values].tolist()
+    # An orifice's record is the one its law returns: the crack pass's flow
+    # split by sign, with no -0.0, and the slope `jacobian` takes for it.
+    slopes = np.where(at.crack_lin, at.crack_kg, c.crack_nk * at.crack_g)[nk:].tolist()
     orifices = [
-        large_opening_flow(*args, dp_bottom, dp_lin)
-        for args, dp_bottom in zip(c.openings[: c.n_orifices], orifice_dp.tolist())
+        TwoWayFlow(flow if flow > 0 else 0.0, -flow if flow < 0 else 0.0, None, slope)
+        for flow, slope in zip(flows[nk:], slopes)
     ]
-    cracks = one_way(at.values[c.crack_values][:nk])
-    slotted = cracks + orifices + at.opening_flows + one_way(c.fan_flow)
+    slotted = one_way(flows[:nk]) + orifices + at.opening_flows + one_way(c.fan_flow.tolist())
     return {link_id: slotted[slot] for link_id, slot in zip(c.ids, c.slot_of)}
 
 

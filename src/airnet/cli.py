@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 domain failure (invalid network, non-convergence),
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
-import io
 import json
 import logging
 import math
@@ -31,6 +29,7 @@ from .network import (
 from .scenario import (
     TIMESTEP_HEADER,
     WeatherFormatError,
+    csv_text,
     generate_weather,
     parse_weather,
     run_simulation,
@@ -116,12 +115,6 @@ def _json_text(obj) -> str:
         return None if isinstance(value, float) and not math.isfinite(value) else value
 
     return json.dumps(finite(obj), indent=2, allow_nan=False)
-
-
-def _csv_text(rows: list[list]) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
 
 
 def _read(path: str, what: str, parse):
@@ -276,7 +269,7 @@ def cmd_compare(args) -> None:
             "warm_start": not args.no_warm_start,
             "config": asdict(cfg),
         }
-        write(_csv_text(long_rows), _csv_text(wide_rows), _json_text(report) + "\n")
+        write(csv_text(long_rows), csv_text(wide_rows), _json_text(report) + "\n")
 
     print(f"{'strategy':<10}{'mean newton':>12}{'(+picard)':>12}{'%picard':>10}{'failures':>10}")
     for strategy in strategies:

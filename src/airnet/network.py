@@ -11,7 +11,7 @@ File format (JSON, one document per network)::
     {
       "zones": [
         {"id": "living", "temperature_k": 298.15, "ref_height_m": 1.35,
-         "mech_flow_kg_s": -0.008}          # optional, default 0
+         "mech_flow_kg_s": -0.008}          # optional, default as in Zone
       ],
       "external_nodes": [
         {"id": "facade_n", "ref_height_m": 1.35,
@@ -22,7 +22,7 @@ File format (JSON, one document per network)::
          "model": {"type": "crack", "k": 0.008, "n": 0.65}},
         {"id": "door", "from": "living", "to": "bed2", "elevation_m": 0.0,
          "model": {"type": "large_opening", "width_m": 1.6, "height_m": 2.0,
-                   "cd": 0.6}},              # cd optional, default 0.6
+                   "cd": 0.6}},              # cd optional, default as in LargeOpening
         {"id": "sf", "from": "facade_w", "to": "bed3", "elevation_m": 2.0,
          "model": {"type": "fan", "flow_kg_s": 0.004}}
       ]
@@ -266,10 +266,9 @@ def _require(obj: dict, key: str, kind, context: str):
     return value
 
 
-def _optional(obj: dict, key: str, default: float, context: str) -> float:
-    if key not in obj:
-        return default
-    return _require(obj, key, float, context)
+def _optional(obj: dict, key: str, context: str) -> dict[str, float]:
+    """{key: its number} when obj has key, else {}: the record keeps its default."""
+    return {key: _require(obj, key, float, context)} if key in obj else {}
 
 
 def _parse_model(obj: dict, context: str) -> LinkModel:
@@ -280,7 +279,7 @@ def _parse_model(obj: dict, context: str) -> LinkModel:
         return LargeOpening(
             width_m=_require(obj, "width_m", float, context),
             height_m=_require(obj, "height_m", float, context),
-            cd=_optional(obj, "cd", 0.6, context),
+            **_optional(obj, "cd", context),
         )
     if kind == "fan":
         return Fan(flow_kg_s=_require(obj, "flow_kg_s", float, context))
@@ -324,7 +323,7 @@ def parse_network(text: str) -> Network:
                 id=_require(obj, "id", str, context),
                 temperature_k=_require(obj, "temperature_k", float, context),
                 ref_height_m=_require(obj, "ref_height_m", float, context),
-                mech_flow_kg_s=_optional(obj, "mech_flow_kg_s", 0.0, context),
+                **_optional(obj, "mech_flow_kg_s", context),
             )
         )
 

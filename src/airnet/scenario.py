@@ -7,8 +7,9 @@ Weather CSV format (header is mandatory and exact)::
     ...
 
 Timestamps are ISO-8601 and must be strictly increasing; a non-uniform step
-only triggers a warning.  Zone temperatures are fixed per run; the weather
-drives wind pressures and the outdoor air column.
+only triggers a warning.  A row is valid when the `BoundaryState` it makes
+is.  Zone temperatures are fixed per run; the weather drives wind pressures
+and the outdoor air column.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "TimestepRecord",
     "StrategySummary",
     "WeatherFormatError",
+    "csv_text",
     "parse_weather",
     "serialize_weather",
     "generate_weather",
@@ -119,13 +121,13 @@ def parse_weather(text: str) -> list[WeatherRecord]:
         except ValueError:
             raise WeatherFormatError(f"line {line_no}: bad timestamp '{stamp_text}'") from None
         try:
-            speed, direction, temp = (float(v) for v in row[1:])
+            record = WeatherRecord(stamp_text, *(float(v) for v in row[1:]))
         except ValueError:
             raise WeatherFormatError(f"line {line_no}: non-numeric field in {row[1:]}") from None
-        if not all(map(math.isfinite, (speed, direction, temp))):
-            raise WeatherFormatError(f"line {line_no}: non-finite field in {row[1:]}")
-        if speed < 0:
-            raise WeatherFormatError(f"line {line_no}: negative wind speed {speed}")
+        try:
+            boundary_from_record(record)
+        except ValueError as exc:
+            raise WeatherFormatError(f"line {line_no}: {exc}") from None
         if previous is not None:
             if (stamp.utcoffset() is None) != (previous.utcoffset() is None):
                 raise WeatherFormatError(
@@ -148,21 +150,25 @@ def parse_weather(text: str) -> list[WeatherRecord]:
                 )
                 warned_step = True
         previous = stamp
-        records.append(WeatherRecord(stamp_text, speed, direction, temp))
+        records.append(record)
     if not records:
         raise WeatherFormatError("weather file has no data rows")
     return records
 
 
-def serialize_weather(records: list[WeatherRecord]) -> str:
+def csv_text(rows: list[list | tuple]) -> str:
+    """rows as CSV text, each line ended by a bare newline."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(WEATHER_HEADER)
-    for rec in records:
-        writer.writerow(
-            [rec.timestamp, f"{rec.wind_speed:.3f}", f"{rec.wind_dir_deg:.2f}", f"{rec.temp_out_c:.3f}"]
-        )
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def serialize_weather(records: list[WeatherRecord]) -> str:
+    rows = [
+        [rec.timestamp, f"{rec.wind_speed:.3f}", f"{rec.wind_dir_deg:.2f}", f"{rec.temp_out_c:.3f}"]
+        for rec in records
+    ]
+    return csv_text([WEATHER_HEADER, *rows])
 
 
 def generate_weather(
@@ -323,9 +329,6 @@ def timestep_row(rec: TimestepRecord) -> list:
 
 def write_timestep_csv(records: list[TimestepRecord], net: Network) -> str:
     """Render records in the timestep CSV format (one pressure column per zone)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([*TIMESTEP_HEADER, *(f"p_{zone.id}" for zone in net.zones)])
-    for rec in records:
-        writer.writerow(timestep_row(rec) + [f"{p:.9g}" for p in rec.pressures])
-    return out.getvalue()
+    header = [*TIMESTEP_HEADER, *(f"p_{zone.id}" for zone in net.zones)]
+    rows = [timestep_row(rec) + [f"{p:.9g}" for p in rec.pressures] for rec in records]
+    return csv_text([header, *rows])

@@ -29,6 +29,7 @@ from .assembly import (
     residual,
 )
 from .linalg import lu_solve, max_abs
+from .links import DP_LIN_DEFAULT
 from .network import Network
 
 __all__ = [
@@ -74,7 +75,7 @@ class SolverConfig:
     picard_iters: int = 10
     accel: float = 0.5
     trunc_dp_max: float = 60.0
-    dp_lin: float = 1e-3
+    dp_lin: float = DP_LIN_DEFAULT
 
     def __post_init__(self):
         for name in ("tolerance", "trunc_dp_max", "dp_lin"):

@@ -249,6 +249,23 @@ def test_simulate_non_finite_weather_is_usage_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("temp", ["-273.15", "-300"])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_weather_at_or_below_absolute_zero_is_usage_error(capsys, tmp_path, command, temp):
+    # Such a row used to pass the parser and end the first solve in a traceback.
+    weather = tmp_path / "cold.csv"
+    weather.write_text(
+        "timestamp,wind_speed_m_s,wind_dir_deg,temp_out_c\n2024-01-01T00:00:00,4.0,90.0,24.0\n"
+        f"2024-01-01T00:30:00,4.0,90.0,{temp}\n"
+    )
+    code, stdout, err = run(
+        capsys, command, "--network", DWELLING, "--weather", str(weather), "--out", str(tmp_path / "out")
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot parse {weather}: line 3: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cold.csv"]
+
+
 def test_simulate_missing_weather_file(capsys, tmp_path):
     code, _, err = run(
         capsys,

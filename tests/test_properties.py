@@ -3,11 +3,12 @@ buildings, and of the Walton relaxation factors over random corrections.
 
 Each strategy must either raise NonConvergenceError / SingularJacobianError,
 or return finite pressures whose residual, recomputed by the independent
-oracle, meets the tolerance.  A raised SolveError carries the iterate it
-reached and that iterate's residual.  When all four strategies converge,
-they agree within the cross-strategy bound of the acceptance suite.  On an
-open building the compiled assembly equals the link loop bit for bit, and
-the link flows balance each zone's residual.
+oracle, meets the tolerance, on crack networks and on open buildings.  A
+raised SolveError carries the iterate it reached and that iterate's
+residual.  When all four strategies converge, they agree within the
+cross-strategy bound of the acceptance suite.  On an open building the
+compiled assembly equals the link loop bit for bit, and the link flows
+balance each zone's residual.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import airnet as an
 from helpers import (
+    loop_assembly,
     matches_the_loop,
     oracle_residual,
     random_boundary,
@@ -100,6 +102,23 @@ def test_strategies_that_all_converge_agree(seed, warm):
     for a in solutions:
         for b in solutions:
             assert np.all(np.abs(a - b) <= np.maximum(1e-6, 1e-9 * np.abs(a)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("strategy", an.STRATEGIES)
+def test_solve_on_an_open_building_returns_a_checked_solution_or_raises(strategy, seed):
+    # Doors with two-way flow, equal-density doors and facade doors, solved
+    # from zero pressures and from the building's own point.
+    net, bc, p = random_open_building(np.random.default_rng(seed))
+    for p0 in (np.zeros(len(p)), p):
+        try:
+            out = an.solve(net, bc, p0, strategy, CFG)
+        except an.SolveError:
+            continue
+        assert np.all(np.isfinite(out.pressures))
+        residual = loop_assembly(net, out.pressures, bc, CFG.dp_lin).residual
+        assert np.max(np.abs(residual)) <= CFG.tolerance
 
 
 def zone_balance(net: an.Network, flows: dict) -> tuple[np.ndarray, np.ndarray]:

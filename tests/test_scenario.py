@@ -55,6 +55,16 @@ def test_parse_rejects_non_finite_fields_with_line_number(fields):
     assert "non-finite" in str(err.value)
 
 
+@pytest.mark.parametrize("temp", ["-273.15", "-300"])
+def test_parse_rejects_weather_at_or_below_absolute_zero(temp):
+    # A row is valid when its BoundaryState is: the parser used to accept
+    # these, and the simulation then stopped on the first solve.
+    bad = TWO_ROWS + f"2024-01-01T01:00:00,1.0,90.0,{temp}\n"
+    with pytest.raises(an.WeatherFormatError) as err:
+        an.parse_weather(bad)
+    assert "line 4" in str(err.value)
+
+
 def test_parse_rejects_non_monotone_timestamps():
     bad = TWO_ROWS + "2024-01-01T00:30:00,1.0,90.0,22.0\n"
     with pytest.raises(an.WeatherFormatError) as err:
