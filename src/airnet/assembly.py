@@ -13,11 +13,13 @@ boundary state, this module produces:
 Stack pressures use a constant density per node column between the node's
 reference height and the link elevation.
 
-The cracks, and the large openings between zones of exactly equal density,
-whose law is then the crack law with exponent 1/2, are evaluated in one
-array pass; every other large opening takes one call of its law per point.
-The links are evaluated once per point, and `residual`, `jacobian`,
-`picard_system` and `link_flows` each take only what they return from it.
+The cracks, the large openings between zones of exactly equal density,
+whose law is then the crack law with exponent 1/2, and every large opening
+at its mid-height, where the Picard system takes it as one orifice of
+exponent 1/2, are evaluated in one array pass; every other large opening
+takes one call of its law per point.  The links are evaluated once per
+point, and `residual`, `jacobian`, `picard_system` and `link_flows` each
+take only what they return from it: no scalar law runs but the opening law.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from .links import (
     GRAVITY,
     TwoWayFlow,
     air_density,
+    # Unused here, as the compiled network evaluates its cracks and each
+    # opening's Picard orifice in arrays and each opening's flow carries its
+    # derivative; kept because perfbench/tracing.py wraps all four in this
+    # module.
     crack_conductance,
-    # Unused here, as the compiled network evaluates its cracks in arrays and
-    # each opening's flow carries its derivative; kept because
-    # perfbench/tracing.py wraps all three in this module.
     crack_derivative,
     crack_flow,
     large_opening_derivative,
@@ -136,60 +139,67 @@ _ROW_SIGNS = (-1.0, 1.0)
 
 class _Boundary(NamedTuple):
     """The boundary-dependent terms of a compiled network's coupled links,
-    with the offset of every link end in the compiled network's layout."""
+    with the offset of every member end in the compiled network's layout."""
 
     bc: BoundaryState
     ends: np.ndarray
     picard_coef: np.ndarray  # the factor of each Picard term (see _CompiledNetwork)
-    opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per non-orifice opening
-    mid_k: list[float]  # each opening's Picard flow coefficient cd*W*H*sqrt(2*rho_mean)
+    crack_kk: np.ndarray  # each member's k, twice, a facade opening's mid-height k set
+    opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per law opening
 
 
 class _Point(NamedTuple):
     """The coupled links of a compiled network evaluated at one pressure
-    vector, boundary and dp_lin, with the pressure at every link end (its
-    offset plus its zone's pressure) in the compiled network's layout."""
+    vector, boundary and dp_lin.  The crack arrays hold one entry per member
+    of the crack pass."""
 
     boundary: _Boundary
     dp_lin: float
     key: bytes  # the pressures as float64
-    ends: np.ndarray
-    values: np.ndarray  # the row values the residual gathers: mech, fans, each coupled link's flow
+    values: np.ndarray  # the row values the residual gathers: mech, fans, each member's flow
     crack_lin: np.ndarray  # |dp| < dp_lin
     crack_g: np.ndarray  # max(|dp|, dp_lin) ** (n - 1)
-    crack_kg: np.ndarray  # k * crack_g: the flow per Pa in the linear band
-    opening_flows: list[TwoWayFlow]  # each non-orifice opening's, with its derivative
+    crack_kg: np.ndarray  # k * crack_g: the flow per Pa in the linear band, the Picard conductance
+    opening_flows: list[TwoWayFlow]  # each law opening's, with its derivative
 
 
 class _CompiledNetwork:
     """Index and parameter arrays of one network.
 
     Links sit in slots grouped by type: cracks, then orifices, then the other
-    large openings, then fans, each group in link order.  An orifice is a
-    large opening between two zones of exactly equal density: there the
-    law's gradient is 0.0 and its dp_mid is dp_bottom - 0.0, which is
-    dp_bottom, as a zone-to-zone dp is never -0.0, so the law is the crack
+    large openings (the law openings), then fans, each group in link order.
+    An orifice is a large opening between two zones of exactly equal density:
+    there the law's gradient is 0.0 and its dp_mid is dp_bottom - 0.0, which
+    is dp_bottom, as a zone-to-zone dp is never -0.0, so the law is the crack
     law at k = cd*W*H*sqrt(2*rho), n = 1/2, and the crack pass evaluates the
     orifice with the law's bits.  Cracks and openings couple their two end
-    pressures; fans do not.  The residual, the Jacobian and the Picard system
-    are each summed by one np.bincount over a layout of their own, whose
-    terms are gathered back into link order, `from` end before `to` end, so
-    each sum is added up in the same order, with the same rounding, as a
-    loop over the links would give it; a term at an external end is in no
-    layout.  A point keeps the row values the residual gathers, the
-    mechanical flows, the fan flows and each coupled link's flow, in one
-    vector copied from `row_values` and filled in by the crack pass and the
-    opening laws.  The Jacobian gathers from the slopes alone, with the
-    opening laws' derivatives appended when the network has such openings.
+    pressures; fans do not.
 
-    The ends of the coupled links sit in one array: the from ends at each
-    link's elevation, then the to ends there, then the from and then the to
-    ends at each opening's mid-height, where Picard takes it as one orifice;
-    an orifice's Picard term, too, is at its mid-height.  `boundary`
-    computes what the weather sets: the offsets of the ends at external
-    nodes, the law arguments of every opening but the orifices and every
-    opening's Picard coefficient (an end at an external node takes the
-    outdoor density), and the Picard rhs terms.
+    The coupled links are evaluated as members, laid out as the cracks, the
+    orifices, every opening at its mid-height, then the law openings; the
+    first three groups make up the crack pass.  A mid-height member is the
+    one orifice Picard takes an opening for, k = cd*W*H*sqrt(2*rho_mean) and
+    n = 1/2, so its k * max(|dp|, dp_lin) ** (n - 1) has the bits of
+    `crack_conductance`.  Its k is compiled when both ends are zones and set
+    by `boundary`, from the outdoor density, when an end is external.  The
+    ends of the members sit in one array, every member's from end and then
+    every member's to end, so one subtraction gives every dp.
+
+    The residual, the Jacobian and the Picard system are each summed by one
+    np.bincount over a layout of their own, whose terms are gathered back
+    into link order, `from` end before `to` end, so each sum is added up in
+    the same order, with the same rounding, as a loop over the links would
+    give it; a term at an external end is in no layout.  A point keeps the
+    row values the residual gathers, the mechanical flows, the fan flows and
+    each member's flow, in one vector copied from `row_values` and filled in
+    by the crack pass and the opening laws.  The Jacobian gathers from the
+    slopes alone, with the opening laws' derivatives appended when the
+    network has law openings, and the Picard system from the crack pass's
+    k * g: a crack's at its elevation, an opening's at its mid-height.
+    `boundary` computes what the weather sets: the offsets of the ends at
+    external nodes, the law openings' arguments and the mid-height k of an
+    opening to a facade (an end at an external node takes the outdoor
+    density), and the Picard rhs terms.
     """
 
     def __init__(self, net: Network):
@@ -223,7 +233,10 @@ class _CompiledNetwork:
         nk, nc = len(cracks), len(cracks) + len(orifices)
         coupled = nc + len(openings)
         self.n_cracks, self.n_orifices = nk, len(orifices)
-        self.n_pow = nc  # the links of the crack pass: the cracks, then the orifices
+        # The members of the crack pass: the cracks, the orifices, then every
+        # opening at its mid-height; after them come the law openings.
+        npow = self.n_pow = nc + coupled - nk
+        self.n_members = npow + len(openings)
 
         node_f = np.array([node[link.from_node] for link in slotted], dtype=np.intp)
         node_t = np.array([node[link.to_node] for link in slotted], dtype=np.intp)
@@ -231,41 +244,55 @@ class _CompiledNetwork:
 
         models = [link.model for link in slotted]
         # Each opening's (width, height, cd, rho_from, rho_to), orifices first.
-        self.openings = [
+        sizes = [
             (m.width_m, m.height_m, m.cd, rho[f], rho[t])
             for m, f, t in zip(models[nk:coupled], node_f[nk:], node_t[nk:])
         ]
-        # An orifice's k is the law's cd * W * H * sqrt(2 * rho), in its order.
-        orifice_k = [_orifice_k(w, h, cd, rho_f) for w, h, cd, rho_f, _ in self.openings[: nc - nk]]
-        self.crack_k = np.array([m.k for m in models[:nk]] + orifice_k, dtype=float)
-        self.crack_n = np.array([m.n for m in models[:nk]] + [0.5] * (nc - nk), dtype=float)
+        self.law_openings = sizes[nc - nk :]
+        # An orifice's k is the law's cd * W * H * sqrt(2 * rho), in its order;
+        # an opening's mid-height k takes the mean density, which `boundary`
+        # sets where an end is external (NaN until then).
+        orifice_k = [_orifice_k(w, h, cd, rho_f) for w, h, cd, rho_f, _ in sizes[: nc - nk]]
+        mid_k = [
+            math.nan if None in (rf, rt) else _orifice_k(w, h, cd, 0.5 * (rf + rt))
+            for w, h, cd, rf, rt in sizes
+        ]
+        self.facade_openings = [j for j, args in enumerate(self.law_openings) if None in args[3:]]
+        at_mid = 2 * nc - nk + np.array(self.facade_openings, dtype=np.intp)
+        self.facade_kk = np.concatenate((at_mid, npow + at_mid))
+        self.crack_k = np.array([m.k for m in models[:nk]] + orifice_k + mid_k, dtype=float)
+        self.crack_n = np.array([m.n for m in models[:nk]] + [0.5] * (npow - nk), dtype=float)
         self.crack_nk = self.crack_n * self.crack_k
-        # The exponents n - 1, then n, of each crack, flat: a broadcast is slower.
+        # The exponents n - 1, then n, of each member, flat: a broadcast is slower.
         self.crack_exponents = np.concatenate((self.crack_n - 1.0, self.crack_n))
         self.crack_kk = np.tile(self.crack_k, 2)
         self.opening_ids = [link.id for link in slotted[nc:coupled]]
         self.fan_flow = np.array([m.flow_kg_s for m in models[coupled:]], dtype=float)
 
-        # Every link end (see the class docstring): its column and z - ref, and
-        # its offset; a zone end's is 0 - rho * g * (z - ref) for good, and an
-        # external end's is set by `boundary` from its node's wind.
+        # Every member's from and to end (see the class docstring): its column
+        # and z - ref, and its offset; a zone end's is 0 - rho * g * (z - ref)
+        # for good, and an external end's is set by `boundary` from its node's
+        # wind.  A coupled slot's member at its elevation, whose flow and slope
+        # the residual and the Jacobian take, and its Picard member, at a
+        # crack's elevation or an opening's mid-height, index the members.
+        at_elevation = np.concatenate((np.arange(nc), npow + np.arange(coupled - nc)))
+        picard_member = np.concatenate((np.arange(nk), nc + np.arange(coupled - nk)))
+        member_slot = np.concatenate((np.arange(nc), np.arange(nk, coupled), np.arange(nc, coupled)))
         elevation = np.array([link.elevation_m for link in slotted[:coupled]], dtype=float)
-        mid_z = elevation[nk:] + np.array([0.5 * h for _, h, *_ in self.openings])
-        open_ends = np.concatenate((node_f[nk:coupled], node_t[nk:coupled]))
-        end_node = np.concatenate((node_f[:coupled], node_t[:coupled], open_ends))
+        mid_z = elevation[nk:] + np.array([0.5 * h for _, h, *_ in sizes])
+        member_z = np.concatenate((elevation[:nc], mid_z, elevation[nc:]))
+        end_node = np.concatenate((node_f[member_slot], node_t[member_slot]))
         node_ref = np.array([z.ref_height_m for z in (*net.zones, *net.external_nodes)])
-        end_dz = np.concatenate((elevation, elevation, mid_z, mid_z)) - node_ref[end_node]
+        end_dz = np.tile(member_z, 2) - node_ref[end_node]
         self.end_col = np.minimum(end_node, n)
         self.ends = 0.0 - np.append(zone_rho * GRAVITY, 0.0).take(self.end_col) * end_dz
         facade = self.facade_ends = end_node >= n
         self.facade_node, self.facade_dz = end_node[facade] - n, end_dz[facade]
-        self.at_f, self.at_t = slice(0, coupled), slice(coupled, 2 * coupled)
-        self.mid_f, self.mid_t = slice(2 * coupled, 3 * coupled - nk), slice(3 * coupled - nk, None)
 
         # The residual's terms are the n mechanical flows, then each link's
         # from and to terms in link order, and its bins are the zones.  The
         # Jacobian's terms are each coupled link's (f,f), (f,t), (t,f), (t,t)
-        # entries in link order, gathered from the slopes by slot, and entry
+        # entries in link order, gathered from the members' slopes, and entry
         # (r, c) is bin r * n + c.  A term at an external end is in neither:
         # np.bincount adds each bin's terms in input order, so leaving out
         # another bin's terms changes no sum.
@@ -274,16 +301,22 @@ class _CompiledNetwork:
         self.slot_of = slot_of.tolist()
         nf = len(fans)
         mech_fans = np.concatenate((self.mech, self.fan_flow))
-        # A point's row values: these, then each coupled link's flow.
-        self.row_values = np.concatenate((mech_fans, np.zeros(coupled)))
-        self.crack_values = slice(n + nf, n + nf + nc)
-        self.opening_values = slice(n + nf + nc, n + nf + coupled)
-        row_value = np.where(slot_of < coupled, n + nf + slot_of, n + slot_of - coupled)
+        # A point's row values: these, then each member's flow.
+        self.row_values = np.concatenate((mech_fans, np.zeros(self.n_members)))
+        self.crack_values = slice(n + nf, n + nf + npow)
+        self.opening_values = slice(n + nf + npow, None)
+        fan_values = n + np.arange(nf)
         link_bins = np.column_stack((col_f[slot_of], col_t[slot_of])).ravel()
         row_bin = np.concatenate((np.arange(n), link_bins))
         in_zone = row_bin < n
         self.row_index = row_bin[in_zone]
-        self.row_gather = np.concatenate((np.arange(n), np.repeat(row_value, 2)))[in_zone]
+
+        def row_gather(members: np.ndarray) -> np.ndarray:
+            """Each row term's value, the coupled links' from `members`."""
+            of_slot = np.concatenate((n + nf + members, fan_values))
+            return np.concatenate((np.arange(n), np.repeat(of_slot[slot_of], 2)))[in_zone]
+
+        self.row_gather = row_gather(at_elevation)
         self.row_sign = np.concatenate((np.ones(n), np.tile(_ROW_SIGNS, len(slotted))))[in_zone]
         coupled_slots = slot_of[slot_of < coupled]
         f, t = col_f[coupled_slots], col_t[coupled_slots]
@@ -291,23 +324,23 @@ class _CompiledNetwork:
         cols = np.column_stack((f, t, f, t)).ravel()
         in_zones = (rows < n) & (cols < n)
         self.entry_index = (rows * n + cols)[in_zones]
-        self.entry_gather = np.repeat(coupled_slots, 4)[in_zones]
+        entry_slot = np.repeat(coupled_slots, 4)[in_zones]
+        self.entry_gather = at_elevation[entry_slot]
         self.entry_sign = np.tile(_ENTRY_SIGNS, coupled)[in_zones]
 
         # The Picard system scatters the rhs over the residual's layout and the
         # matrix over the Jacobian's, from bin n on, in one np.bincount.  Its
-        # values are -mech per zone, -flow per fan and G per coupled link; G's
-        # row terms take the to minus from offset where Picard takes dp (a
-        # crack's elevation, an opening's mid-height), as G * (off_f - off_t)
-        # is constant.
+        # values are -mech per zone, -flow per fan and G per coupled link, the
+        # k * g of its Picard member; G's row terms take that member's to minus
+        # from offset, as G * (off_f - off_t) is constant.
         self.neg_mech_fans = -mech_fans
         self.picard_index = np.concatenate((self.row_index, n + self.entry_index))
-        self.picard_gather = np.concatenate((self.row_gather, n + nf + self.entry_gather))
+        picard_rows = row_gather(picard_member)
+        self.picard_gather = np.concatenate((picard_rows, n + nf + picard_member[entry_slot]))
         self.picard_sign = np.concatenate((self.row_sign, self.entry_sign))
-        self.picard_rhs = np.flatnonzero(self.row_gather >= n + nf)
-        s = self.row_gather[self.picard_rhs] - (n + nf)
-        self.rhs_f = np.where(s < nk, s, s + 2 * coupled - nk)
-        self.rhs_t = self.rhs_f + np.where(s < nk, coupled, coupled - nk)
+        self.picard_rhs = np.flatnonzero(picard_rows >= n + nf)
+        self.rhs_f = picard_rows[self.picard_rhs] - (n + nf)
+        self.rhs_t = self.rhs_f + self.n_members
         self._point: _Point | None = None
 
     def boundary(self, bc: BoundaryState) -> _Boundary:
@@ -320,11 +353,15 @@ class _CompiledNetwork:
         coef[self.picard_rhs] *= ends.take(self.rhs_t) - ends.take(self.rhs_f)
         args = [
             (w, h, cd, rho_out if rf is None else rf, rho_out if rt is None else rt)
-            for w, h, cd, rf, rt in self.openings
+            for w, h, cd, rf, rt in self.law_openings
         ]
-        mid_k = [_orifice_k(w, h, cd, 0.5 * (rf + rt)) for w, h, cd, rf, rt in args]
-        opening_args = args[self.n_orifices :]
-        return _Boundary(bc=bc, ends=ends, picard_coef=coef, opening_args=opening_args, mid_k=mid_k)
+        crack_kk = self.crack_kk
+        if self.facade_openings:
+            crack_kk = crack_kk.copy()
+            facade = (args[j] for j in self.facade_openings)
+            mid_k = [_orifice_k(w, h, cd, 0.5 * (rf + rt)) for w, h, cd, rf, rt in facade]
+            crack_kk[self.facade_kk] = mid_k * 2
+        return _Boundary(bc, ends, coef, crack_kk, args)
 
     def point(self, p, bc: BoundaryState, dp_lin: float) -> _Point:
         """The links evaluated at p, kept until a call brings another point;
@@ -348,20 +385,21 @@ class _CompiledNetwork:
         pz = np.concatenate((pressures, _PADDING))
         b = last.boundary if same_bc else self.boundary(bc)
         ends = b.ends + pz.take(self.end_col)
-        dp = ends[self.at_f] - ends[self.at_t]
-        nc = self.n_pow
-        # Each crack once, with the float laws' rounding: in the linear band
+        m = self.n_members
+        dp = ends[:m] - ends[m:]
+        npow = self.n_pow
+        # Each member once, with the float laws' rounding: in the linear band
         # flow (k*g)*dp, slope k*g, conductance k*g; outside it flow
         # copysign(k*h, dp), slope (n*k)*g, conductance k*g.
-        crack_dp = dp[:nc]
+        crack_dp = dp[:npow]
         mag = np.abs(crack_dp)
         lin = mag < dp_lin
         # g = max(|dp|, dp_lin) ** (n - 1), then h = ... ** n: np.float_power
         # calls the C library's pow per element, as the float laws do.
         base = np.maximum(mag, dp_lin)
         powers = np.float_power(np.concatenate((base, base)), self.crack_exponents)
-        kgh = self.crack_kk * powers  # k*g, then k*h
-        kg, kh = kgh[:nc], kgh[nc:]
+        kgh = b.crack_kk * powers  # k*g, then k*h
+        kg, kh = kgh[:npow], kgh[npow:]
         values = self.row_values.copy()
         flows = values[self.crack_values]
         np.copysign(kh, crack_dp, out=flows)
@@ -370,20 +408,10 @@ class _CompiledNetwork:
         if b.opening_args:
             opening_flows = [
                 large_opening_flow(*args, dp_bottom, dp_lin)
-                for args, dp_bottom in zip(b.opening_args, dp[nc:].tolist())
+                for args, dp_bottom in zip(b.opening_args, dp[npow:].tolist())
             ]
             values[self.opening_values] = [two_way.net for two_way in opening_flows]
-        last = self._point = _Point(
-            boundary=b,
-            dp_lin=dp_lin,
-            key=key,
-            ends=ends,
-            values=values,
-            crack_lin=lin,
-            crack_g=powers[:nc],
-            crack_kg=kg,
-            opening_flows=opening_flows,
-        )
+        last = self._point = _Point(b, dp_lin, key, values, lin, powers[:npow], kg, opening_flows)
         return last
 
 
@@ -442,11 +470,11 @@ def link_flows(
     def one_way(flows: list[float]) -> list[TwoWayFlow]:
         return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows]
 
-    nk = c.n_cracks
-    flows = at.values[c.crack_values].tolist()
+    nk, nc = c.n_cracks, c.n_cracks + c.n_orifices
+    flows = at.values[c.crack_values][:nc].tolist()
     # An orifice's record is the one its law returns: the crack pass's flow
     # split by sign, with no -0.0, and the slope `jacobian` takes for it.
-    slopes = np.where(at.crack_lin, at.crack_kg, c.crack_nk * at.crack_g)[nk:].tolist()
+    slopes = np.where(at.crack_lin, at.crack_kg, c.crack_nk * at.crack_g)[nk:nc].tolist()
     orifices = [
         TwoWayFlow(flow if flow > 0 else 0.0, -flow if flow < 0 else 0.0, None, slope)
         for flow, slope in zip(flows[nk:], slopes)
@@ -462,27 +490,22 @@ def picard_system(
 
     Cracks contribute their secant conductance; a large opening is collapsed
     to a single equivalent orifice at its mid-height (K = cd*W*H*sqrt(2*rho_mean),
-    exponent 1/2).  All pressure-proportional terms go to the matrix and all
-    constant terms (wind pressures, stack offsets, fans, mechanical flows) to
-    the right-hand side, so a fixed point of the map is a root of the
-    residual for crack-only networks.
+    exponent 1/2), a member of the crack pass.  All pressure-proportional
+    terms go to the matrix and all constant terms (wind pressures, stack
+    offsets, fans, mechanical flows) to the right-hand side, so a fixed point
+    of the map is a root of the residual for crack-only networks.
 
     Raises ReciprocalFlowError when any large opening currently carries
     two-way flow: the single-conductance picture cannot represent it.
     """
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
-    for link_id, two_way in zip(c.opening_ids, at.opening_flows):
-        if two_way.bidirectional:
-            raise ReciprocalFlowError(link_id)
-    b = at.boundary
-    # A crack's mid-height is its elevation, where the point took its dp.
-    mid_dp = at.ends[c.mid_f] - at.ends[c.mid_t]
-    openings = [
-        crack_conductance(k, 0.5, dp, dp_lin) for k, dp in zip(b.mid_k, mid_dp.tolist())
-    ]
-    values = np.concatenate((c.neg_mech_fans, at.crack_kg[: c.n_cracks], openings))
+    if at.opening_flows:
+        for link_id, two_way in zip(c.opening_ids, at.opening_flows):
+            if two_way.bidirectional:
+                raise ReciprocalFlowError(link_id)
+    values = np.concatenate((c.neg_mech_fans, at.crack_kg))
     n = c.n
-    terms = values.take(c.picard_gather) * b.picard_coef
+    terms = values.take(c.picard_gather) * at.boundary.picard_coef
     summed = np.bincount(c.picard_index, terms, minlength=n + n * n)
-    return LinearSystem(matrix=summed[n:].reshape(n, n), rhs=summed[:n])
+    return LinearSystem(summed[n:].reshape(n, n), summed[:n])

@@ -29,6 +29,7 @@ from .network import (
 from .scenario import (
     TIMESTEP_HEADER,
     WeatherFormatError,
+    boundary_from_celsius,
     csv_text,
     generate_weather,
     parse_weather,
@@ -163,10 +164,10 @@ def _config_from(args) -> SolverConfig:
 
 def _boundary_from(args) -> BoundaryState:
     return _from_flags(
-        BoundaryState,
+        boundary_from_celsius,
         wind_speed=args.wind_speed,
-        wind_direction_deg=args.wind_dir,
-        outdoor_temp_k=args.temp_out_c + 273.15,
+        wind_dir_deg=args.wind_dir,
+        temp_out_c=args.temp_out_c,
     )
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "parse_weather",
     "serialize_weather",
     "generate_weather",
+    "boundary_from_celsius",
     "boundary_from_record",
     "run_simulation",
     "summarize",
@@ -204,12 +205,18 @@ def generate_weather(
     return records
 
 
+def boundary_from_celsius(wind_speed: float, wind_dir_deg: float, temp_out_c: float) -> BoundaryState:
+    """The BoundaryState of weather whose outdoor temperature is given in
+    degrees Celsius; one at or below absolute zero is refused in them, and
+    BoundaryState refuses a non-finite one."""
+    temp_k = temp_out_c + 273.15
+    if -math.inf < temp_k <= 0:
+        raise ValueError(f"outdoor temperature must be above -273.15 °C, got {temp_out_c} °C")
+    return BoundaryState(wind_speed, wind_dir_deg, temp_k)
+
+
 def boundary_from_record(rec: WeatherRecord) -> BoundaryState:
-    return BoundaryState(
-        wind_speed=rec.wind_speed,
-        wind_direction_deg=rec.wind_dir_deg,
-        outdoor_temp_k=rec.temp_out_c + 273.15,
-    )
+    return boundary_from_celsius(rec.wind_speed, rec.wind_dir_deg, rec.temp_out_c)
 
 
 def run_simulation(

@@ -207,7 +207,8 @@ def picard_init(
         report = lu_solve(system.matrix, system.rhs)
         if report.singular:
             return PicardResult(p, k, False, ABORT_SINGULAR, f)
-        step = (1.0 - cfg.accel) * (report.solution - p)
+        step = np.subtract(report.solution, p, out=report.solution)
+        step *= 1.0 - cfg.accel
         np.minimum(np.maximum(step, -cfg.trunc_dp_max, out=step), cfg.trunc_dp_max, out=step)
         p = p + step
         f = residual(net, p, bc, cfg.dp_lin)

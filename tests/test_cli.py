@@ -164,6 +164,12 @@ def test_solve_bad_input_is_usage_error(capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_solve_below_absolute_zero_names_the_given_degrees_celsius(capsys):
+    code, out, err = run(capsys, "solve", "--network", TWO_CRACK, "--temp-out-c", "-300")
+    assert (code, out) == (2, "")
+    assert err == "error: outdoor temperature must be above -273.15 °C, got -300.0 °C\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

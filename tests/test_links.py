@@ -165,6 +165,52 @@ def test_crack_laws_on_arrays_match_the_float_form_exactly(law):
             assert np.asarray(values).tolist() == expected
 
 
+@pytest.mark.parametrize("outdoor_dt", [0.0, 1e-3])
+def test_opening_mid_height_conductance_matches_the_float_form_at_the_band_edges(outdoor_dt):
+    # Picard takes each opening as one orifice at its mid-height, a member of
+    # the crack pass; its conductance has the bits of crack_conductance at
+    # k = cd*W*H*sqrt(2*rho_mean) and n = 1/2, on both sides of each band edge.
+    # For each edge i, a door joins zone a_i to zone b_i, of equal density,
+    # and one joins zone c_i to a facade.  Every reference height is a door's
+    # mid-height and there is no wind, so each mid-height dp is exactly p[a_i]
+    # or p[c_i].  An outdoor temperature 1 mK off the zones' makes the facade
+    # doors' mean density depend on the outdoor air; a neutral plane then sits
+    # at the mid-height when dp is 0 there, so only the nonzero edges are taken.
+    rng = np.random.default_rng(19)
+    zone_t = 293.15
+    bc = an.BoundaryState(0.0, 0.0, zone_t + outdoor_dt)
+    rho_out = an.air_density(bc.outdoor_temp_k)
+    for dp_lin in (DP_LIN_DEFAULT, 0.3):
+        edges = [dp_lin, -dp_lin]
+        edges += [math.nextafter(dp_lin, 0.0), math.nextafter(dp_lin, math.inf)]
+        edges += [math.nextafter(-dp_lin, 0.0), math.nextafter(-dp_lin, -math.inf)]
+        if not outdoor_dt:
+            edges += [0.0, -0.0]
+        m = len(edges)
+        width, height = rng.uniform(0.3, 2.0, m).tolist(), rng.uniform(0.2, 2.5, m).tolist()
+        cd, pair_t = rng.uniform(0.5, 0.8, m).tolist(), rng.uniform(250.0, 310.0, m).tolist()
+        zones, facades, links = [], [], []
+        for i in range(m):
+            mid, door = 0.5 * height[i], an.LargeOpening(width[i], height[i], cd=cd[i])
+            zones += [an.Zone(f"a{i}", pair_t[i], mid), an.Zone(f"b{i}", pair_t[i], mid)]
+            zones.append(an.Zone(f"c{i}", zone_t, mid))
+            facades.append(an.ExternalNode(f"out{i}", mid, (0.5,) * 8))
+            links += [an.Link(f"ab{i}", f"a{i}", f"b{i}", 0.0, door)]
+            links += [an.Link(f"co{i}", f"c{i}", f"out{i}", 0.0, door)]
+        net = an.Network(zones=tuple(zones), external_nodes=tuple(facades), links=tuple(links))
+        p = np.zeros(3 * m)
+        p[0::3], p[2::3] = edges, edges  # zones a_i and c_i
+        conductances = -np.diag(an.picard_system(net, p, bc, dp_lin).matrix)
+        for i, dp_mid in enumerate(edges):
+            k = cd[i] * width[i] * height[i]
+            rho = an.air_density(pair_t[i])
+            pair = an.crack_conductance(k * math.sqrt(2.0 * (0.5 * (rho + rho))), 0.5, dp_mid, dp_lin)
+            rho_mean = 0.5 * (an.air_density(zone_t) + rho_out)
+            facade = an.crack_conductance(k * math.sqrt(2.0 * rho_mean), 0.5, dp_mid, dp_lin)
+            expected = [pair, pair, facade]  # zones a_i, b_i, c_i
+            assert conductances[3 * i : 3 * i + 3].tolist() == expected
+
+
 # ---------------------------------------------------------------------------
 # large openings
 

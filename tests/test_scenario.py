@@ -65,6 +65,15 @@ def test_parse_rejects_weather_at_or_below_absolute_zero(temp):
     assert "line 4" in str(err.value)
 
 
+def test_weather_below_absolute_zero_is_reported_in_the_files_degrees_celsius():
+    # The row's own value, not the kelvin sum with its rounding noise
+    # (-300 + 273.15 is -26.850000000000023).
+    bad = TWO_ROWS + "2024-01-01T01:00:00,1.0,90.0,-300\n"
+    with pytest.raises(an.WeatherFormatError) as err:
+        an.parse_weather(bad)
+    assert str(err.value) == "line 4: outdoor temperature must be above -273.15 °C, got -300.0 °C"
+
+
 def test_parse_rejects_non_monotone_timestamps():
     bad = TWO_ROWS + "2024-01-01T00:30:00,1.0,90.0,22.0\n"
     with pytest.raises(an.WeatherFormatError) as err:
