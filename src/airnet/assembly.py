@@ -144,7 +144,8 @@ class _Boundary(NamedTuple):
     bc: BoundaryState
     ends: np.ndarray
     picard_coef: np.ndarray  # the factor of each Picard term (see _CompiledNetwork)
-    crack_kk: np.ndarray  # each member's k, twice, a facade opening's mid-height k set
+    crack_kk: np.ndarray  # each member's k, twice, the law openings' mid-height k set
+    crack_nk: np.ndarray  # n * k of each member
     opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per law opening
 
 
@@ -180,10 +181,10 @@ class _CompiledNetwork:
     first three groups make up the crack pass.  A mid-height member is the
     one orifice Picard takes an opening for, k = cd*W*H*sqrt(2*rho_mean) and
     n = 1/2, so its k * max(|dp|, dp_lin) ** (n - 1) has the bits of
-    `crack_conductance`.  Its k is compiled when both ends are zones and set
-    by `boundary`, from the outdoor density, when an end is external.  The
-    ends of the members sit in one array, every member's from end and then
-    every member's to end, so one subtraction gives every dp.
+    `crack_conductance`.  An orifice's mid-height k is its k, compiled; a law
+    opening's is set by `boundary` from the arguments of its law.  The ends
+    of the members sit in one array, every member's from end and then every
+    member's to end, so one subtraction gives every dp.
 
     The residual, the Jacobian and the Picard system are each summed by one
     np.bincount over a layout of their own, whose terms are gathered back
@@ -197,9 +198,9 @@ class _CompiledNetwork:
     network has law openings, and the Picard system from the crack pass's
     k * g: a crack's at its elevation, an opening's at its mid-height.
     `boundary` computes what the weather sets: the offsets of the ends at
-    external nodes, the law openings' arguments and the mid-height k of an
-    opening to a facade (an end at an external node takes the outdoor
-    density), and the Picard rhs terms.
+    external nodes, the law openings' arguments (an end at an external node
+    takes the outdoor density) and, from them, their mid-height k, and the
+    Picard rhs terms.
     """
 
     def __init__(self, net: Network):
@@ -249,23 +250,17 @@ class _CompiledNetwork:
             for m, f, t in zip(models[nk:coupled], node_f[nk:], node_t[nk:])
         ]
         self.law_openings = sizes[nc - nk :]
-        # An orifice's k is the law's cd * W * H * sqrt(2 * rho), in its order;
-        # an opening's mid-height k takes the mean density, which `boundary`
-        # sets where an end is external (NaN until then).
+        # An orifice's k is the law's cd * W * H * sqrt(2 * rho), in its order,
+        # at its elevation and at its mid-height, as its mean density is rho.
         orifice_k = [_orifice_k(w, h, cd, rho_f) for w, h, cd, rho_f, _ in sizes[: nc - nk]]
-        mid_k = [
-            math.nan if None in (rf, rt) else _orifice_k(w, h, cd, 0.5 * (rf + rt))
-            for w, h, cd, rf, rt in sizes
-        ]
-        self.facade_openings = [j for j, args in enumerate(self.law_openings) if None in args[3:]]
-        at_mid = 2 * nc - nk + np.array(self.facade_openings, dtype=np.intp)
-        self.facade_kk = np.concatenate((at_mid, npow + at_mid))
-        self.crack_k = np.array([m.k for m in models[:nk]] + orifice_k + mid_k, dtype=float)
+        self.crack_k = np.array([m.k for m in models[:nk]] + orifice_k * 2, dtype=float)
         self.crack_n = np.array([m.n for m in models[:nk]] + [0.5] * (npow - nk), dtype=float)
-        self.crack_nk = self.crack_n * self.crack_k
         # The exponents n - 1, then n, of each member, flat: a broadcast is slower.
         self.crack_exponents = np.concatenate((self.crack_n - 1.0, self.crack_n))
+        # Each compiled member's k, twice, and n * k; `boundary` appends the
+        # law openings' mid-height k.
         self.crack_kk = np.tile(self.crack_k, 2)
+        self.crack_nk = self.crack_n[: len(self.crack_k)] * self.crack_k
         self.opening_ids = [link.id for link in slotted[nc:coupled]]
         self.fan_flow = np.array([m.flow_kg_s for m in models[coupled:]], dtype=float)
 
@@ -355,13 +350,18 @@ class _CompiledNetwork:
             (w, h, cd, rho_out if rf is None else rf, rho_out if rt is None else rt)
             for w, h, cd, rf, rt in self.law_openings
         ]
-        crack_kk = self.crack_kk
-        if self.facade_openings:
-            crack_kk = crack_kk.copy()
-            facade = (args[j] for j in self.facade_openings)
-            mid_k = [_orifice_k(w, h, cd, 0.5 * (rf + rt)) for w, h, cd, rf, rt in facade]
-            crack_kk[self.facade_kk] = mid_k * 2
-        return _Boundary(bc, ends, coef, crack_kk, args)
+        crack_kk, crack_nk = self.crack_kk, self.crack_nk
+        if args:
+            mid_k = [_orifice_k(w, h, cd, 0.5 * (rf + rt)) for w, h, cd, rf, rt in args]
+            k = np.append(self.crack_k, mid_k)
+            crack_kk, crack_nk = np.concatenate((k, k)), self.crack_n * k
+        return _Boundary(bc, ends, coef, crack_kk, crack_nk, args)
+
+    def slopes(self, at: _Point) -> np.ndarray:
+        """Each crack-pass member's slope at a point."""
+        slopes = at.boundary.crack_nk * at.crack_g
+        np.copyto(slopes, at.crack_kg, where=at.crack_lin)
+        return slopes
 
     def point(self, p, bc: BoundaryState, dp_lin: float) -> _Point:
         """The links evaluated at p, kept until a call brings another point;
@@ -444,8 +444,7 @@ def jacobian(
     """Derivative of the residual with respect to the zone pressures."""
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
-    slopes = c.crack_nk * at.crack_g
-    np.copyto(slopes, at.crack_kg, where=at.crack_lin)
+    slopes = c.slopes(at)
     if at.opening_flows:
         slopes = np.concatenate((slopes, [two_way.derivative for two_way in at.opening_flows]))
     n = c.n
@@ -466,20 +465,18 @@ def link_flows(
     """
     c = _compiled(net)
     at = c.point(p, bc, dp_lin)
-
-    def one_way(flows: list[float]) -> list[TwoWayFlow]:
-        return [TwoWayFlow(max(flow, 0.0), max(-flow, 0.0), None) for flow in flows]
-
+    slopes = c.slopes(at)
     nk, nc = c.n_cracks, c.n_cracks + c.n_orifices
+
+    def split(flow: float, derivative: float | None = None) -> TwoWayFlow:
+        """The flow split by sign, with no -0.0."""
+        return TwoWayFlow(flow if flow > 0 else 0.0, -flow if flow < 0 else 0.0, None, derivative)
+
+    # An orifice's record is the one its law returns, with the slope
+    # `jacobian` takes for it.
     flows = at.values[c.crack_values][:nc].tolist()
-    # An orifice's record is the one its law returns: the crack pass's flow
-    # split by sign, with no -0.0, and the slope `jacobian` takes for it.
-    slopes = np.where(at.crack_lin, at.crack_kg, c.crack_nk * at.crack_g)[nk:nc].tolist()
-    orifices = [
-        TwoWayFlow(flow if flow > 0 else 0.0, -flow if flow < 0 else 0.0, None, slope)
-        for flow, slope in zip(flows[nk:], slopes)
-    ]
-    slotted = one_way(flows[:nk]) + orifices + at.opening_flows + one_way(c.fan_flow.tolist())
+    crack_pass = list(map(split, flows, [None] * nk + slopes[nk:nc].tolist()))
+    slotted = crack_pass + at.opening_flows + list(map(split, c.fan_flow.tolist()))
     return {link_id: slotted[slot] for link_id, slot in zip(c.ids, c.slot_of)}
 
 

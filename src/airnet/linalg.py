@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
-__all__ = ["SolveReport", "lu_solve", "max_abs", "PIVOT_THRESHOLD"]
+__all__ = ["SolveReport", "lu_solve"]
 
 # A pivot smaller than this fraction of the largest initial entry flags the
 # matrix as singular; cheap and deterministic, which is all the fixed-point

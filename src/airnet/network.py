@@ -32,13 +32,20 @@ The `cp` table holds 8 wind-pressure coefficients, one per 45-degree sector
 starting at north; directions between sector centers are linearly
 interpolated.  Positive link flow runs from `from` to `to`.  For large
 openings `elevation_m` is the bottom edge of the opening.
+
+The record dataclasses below are the schema: each key of a zone, an
+external node, a link or a model is the field of its name, except a link's
+`from` and `to` (`from_node`, `to_node`) and a model's `type`, which picks
+its class.  A field with a default may be left out.  Any key that the
+schema does not name, in the document or in any record, is an error, so a
+misspelt optional field is not dropped silently.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
@@ -122,6 +129,8 @@ class Fan:
 
 LinkModel = Union[Crack, LargeOpening, Fan]
 
+_MODELS = {"crack": Crack, "large_opening": LargeOpening, "fan": Fan}  # by their "type"
+
 
 @dataclass(frozen=True)
 class Link:
@@ -156,8 +165,8 @@ def validate(net: Network) -> list[str]:
     """
     violations: list[str] = []
 
-    def require_finite(owner: str, obj, *fields: str) -> None:
-        for name in fields:
+    def require_finite(owner: str, obj, *names: str) -> None:
+        for name in names:
             value = getattr(obj, name)
             if not math.isfinite(value):
                 violations.append(f"{owner}: {name} must be finite, got {value}")
@@ -266,24 +275,57 @@ def _require(obj: dict, key: str, kind, context: str):
     return value
 
 
-def _optional(obj: dict, key: str, context: str) -> dict[str, float]:
-    """{key: its number} when obj has key, else {}: the record keeps its default."""
-    return {key: _require(obj, key, float, context)} if key in obj else {}
+def _record(cls, obj: dict, context: str, read: tuple[str, ...] = (), **given):
+    """A `cls` record from the object obj, whose keys in `read` the caller has
+    read into the fields passed in as `given`.
+
+    Every other field is read from the key of its name: `id` as a string and
+    any other as a number, and a field with a default may be left out.  A key
+    that names no such field is an error.
+    """
+    keys = set(read)
+    for f in fields(cls):
+        if f.name not in given:
+            keys.add(f.name)
+            if f.name in obj or f.default is MISSING:
+                given[f.name] = _require(obj, f.name, str if f.name == "id" else float, context)
+    for key in obj:
+        if key not in keys:
+            raise NetworkFormatError(f"{context}: unknown field '{key}'")
+    return cls(**given)
 
 
-def _parse_model(obj: dict, context: str) -> LinkModel:
-    kind = _require(obj, "type", str, context)
-    if kind == "crack":
-        return Crack(k=_require(obj, "k", float, context), n=_require(obj, "n", float, context))
-    if kind == "large_opening":
-        return LargeOpening(
-            width_m=_require(obj, "width_m", float, context),
-            height_m=_require(obj, "height_m", float, context),
-            **_optional(obj, "cd", context),
-        )
-    if kind == "fan":
-        return Fan(flow_kg_s=_require(obj, "flow_kg_s", float, context))
-    raise NetworkFormatError(f"{context}: unknown model type '{kind}'")
+def _objects(doc: dict, key: str):
+    """(object, context) for each entry of the document's list `key`."""
+    for i, obj in enumerate(_require(doc, key, list, "document")):
+        context = f"{key}[{i}]"
+        if not isinstance(obj, dict):
+            raise NetworkFormatError(f"{context}: must be an object")
+        yield obj, context
+
+
+def _cp(obj: dict, context: str) -> tuple[float, ...]:
+    cp = _require(obj, "cp", list, context)
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in cp):
+        raise NetworkFormatError(f"{context}: field 'cp' must hold numbers")
+    return tuple(float(v) for v in cp)
+
+
+def _link(obj: dict, context: str) -> Link:
+    model = _require(obj, "model", dict, context)
+    model_context = f"{context}.model"
+    kind = _require(model, "type", str, model_context)
+    if kind not in _MODELS:
+        raise NetworkFormatError(f"{model_context}: unknown model type '{kind}'")
+    return _record(
+        Link,
+        obj,
+        context,
+        ("from", "to", "model"),
+        from_node=_require(obj, "from", str, context),
+        to_node=_require(obj, "to", str, context),
+        model=_record(_MODELS[kind], model, model_context, ("type",)),
+    )
 
 
 def _reject_constant(name: str):
@@ -313,54 +355,18 @@ def parse_network(text: str) -> Network:
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level document must be an object")
 
-    zones = []
-    for i, obj in enumerate(_require(doc, "zones", list, "document")):
-        context = f"zones[{i}]"
-        if not isinstance(obj, dict):
-            raise NetworkFormatError(f"{context}: must be an object")
-        zones.append(
-            Zone(
-                id=_require(obj, "id", str, context),
-                temperature_k=_require(obj, "temperature_k", float, context),
-                ref_height_m=_require(obj, "ref_height_m", float, context),
-                **_optional(obj, "mech_flow_kg_s", context),
-            )
-        )
-
-    externals = []
-    for i, obj in enumerate(_require(doc, "external_nodes", list, "document")):
-        context = f"external_nodes[{i}]"
-        if not isinstance(obj, dict):
-            raise NetworkFormatError(f"{context}: must be an object")
-        cp = _require(obj, "cp", list, context)
-        for value in cp:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise NetworkFormatError(f"{context}: field 'cp' must hold numbers")
-        externals.append(
-            ExternalNode(
-                id=_require(obj, "id", str, context),
-                ref_height_m=_require(obj, "ref_height_m", float, context),
-                cp=tuple(float(v) for v in cp),
-            )
-        )
-
-    links = []
-    for i, obj in enumerate(_require(doc, "links", list, "document")):
-        context = f"links[{i}]"
-        if not isinstance(obj, dict):
-            raise NetworkFormatError(f"{context}: must be an object")
-        model_obj = _require(obj, "model", dict, context)
-        links.append(
-            Link(
-                id=_require(obj, "id", str, context),
-                from_node=_require(obj, "from", str, context),
-                to_node=_require(obj, "to", str, context),
-                elevation_m=_require(obj, "elevation_m", float, context),
-                model=_parse_model(model_obj, f"{context}.model"),
-            )
-        )
-
-    net = Network(zones=tuple(zones), external_nodes=tuple(externals), links=tuple(links))
+    net = _record(
+        Network,
+        doc,
+        "document",
+        ("zones", "external_nodes", "links"),
+        zones=tuple(_record(Zone, obj, context) for obj, context in _objects(doc, "zones")),
+        external_nodes=tuple(
+            _record(ExternalNode, obj, context, ("cp",), cp=_cp(obj, context))
+            for obj, context in _objects(doc, "external_nodes")
+        ),
+        links=tuple(_link(obj, context) for obj, context in _objects(doc, "links")),
+    )
     violations = validate(net)
     if violations:
         raise NetworkValidationError(violations)

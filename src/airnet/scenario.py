@@ -28,22 +28,14 @@ from .network import Network
 from .solvers import SolveError, SolverConfig, solve
 
 __all__ = [
-    "WEATHER_HEADER",
-    "TIMESTEP_HEADER",
     "WeatherRecord",
     "TimestepRecord",
     "StrategySummary",
     "WeatherFormatError",
-    "csv_text",
     "parse_weather",
-    "serialize_weather",
     "generate_weather",
-    "boundary_from_celsius",
-    "boundary_from_record",
     "run_simulation",
     "summarize",
-    "timestep_row",
-    "write_timestep_csv",
 ]
 
 log = logging.getLogger("airnet")

@@ -24,7 +24,7 @@ from .assembly import (
     BoundaryState,
     ReciprocalFlowError,
     jacobian,
-    link_flows,
+    link_flows,  # unused here; kept because perfbench/tracing.py wraps it in this module
     picard_system,
     residual,
 )
@@ -43,8 +43,6 @@ __all__ = [
     "solve",
     "picard_init",
     "walton_relaxation",
-    # Unused here; kept because perfbench/tracing.py wraps it in this module.
-    "link_flows",
 ]
 
 STRATEGIES = ("NR", "WM", "PNR", "PWM")

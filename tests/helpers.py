@@ -321,6 +321,11 @@ def reference_large_opening_derivative(width, height, cd, rho_from, rho_to, dp_b
     return unit * math.sqrt(2.0 * rho_up) * height / denom
 
 
+def split_by_sign(flow: float) -> an.TwoWayFlow:
+    """A crack's or a fan's record: its flow split by sign, with no -0.0."""
+    return an.TwoWayFlow(flow if flow > 0 else 0.0, -flow if flow < 0 else 0.0)
+
+
 class LoopAssembly(NamedTuple):
     residual: np.ndarray
     jacobian: np.ndarray
@@ -360,11 +365,10 @@ def loop_assembly(net: an.Network, p, bc: an.BoundaryState, dp_lin: float = DP_L
         dp = end(node_f, link.elevation_m)[1] - end(node_t, link.elevation_m)[1]
         model = link.model
         if isinstance(model, an.Fan):
-            flow = an.TwoWayFlow(max(model.flow_kg_s, 0.0), max(-model.flow_kg_s, 0.0))
+            flow = split_by_sign(model.flow_kg_s)
             d = 0.0
         elif isinstance(model, an.Crack):
-            net_flow = an.crack_flow(model.k, model.n, dp, dp_lin)
-            flow = an.TwoWayFlow(max(net_flow, 0.0), max(-net_flow, 0.0))
+            flow = split_by_sign(an.crack_flow(model.k, model.n, dp, dp_lin))
             d = an.crack_derivative(model.k, model.n, dp, dp_lin)
             z, k, exponent = link.elevation_m, model.k, model.n
         else:

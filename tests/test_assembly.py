@@ -150,6 +150,26 @@ def test_link_dp_at_reference_heights_is_plain_difference():
     assert an.link_flows(net, p, bc)["ab"].net == pytest.approx(p[0] - p[1], rel=1e-12)
 
 
+def test_a_zero_flow_is_split_into_two_positive_zeros():
+    # At rest no link carries flow, and no record has a -0.0 component: not a
+    # crack's, an orifice's, nor a fan's of +0.0 or -0.0 kg/s.
+    net = an.Network(
+        zones=(an.Zone("a", 293.15, 0.0), an.Zone("b", 293.15, 0.0)),
+        external_nodes=(uniform_cp_node("out", 0.5),),
+        links=(
+            an.Link("crack", "out", "a", 0.0, an.Crack(0.01, 0.65)),
+            an.Link("door", "a", "b", 0.0, an.LargeOpening(0.8, 2.0)),
+            an.Link("fan", "out", "b", 1.0, an.Fan(0.0)),
+            an.Link("negative_fan", "b", "out", 1.0, an.Fan(-0.0)),
+        ),
+    )
+    bc = an.BoundaryState(0.0, 0.0, 293.15)
+    flows = an.link_flows(net, np.zeros(2), bc)
+    assert list(flows) == ["crack", "door", "fan", "negative_fan"]
+    for flow in flows.values():
+        assert [math.copysign(1.0, v) for v in flow[:2]] == [1.0, 1.0], flow
+
+
 # ---------------------------------------------------------------------------
 # residual
 

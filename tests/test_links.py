@@ -171,11 +171,15 @@ def test_opening_mid_height_conductance_matches_the_float_form_at_the_band_edges
     # the crack pass; its conductance has the bits of crack_conductance at
     # k = cd*W*H*sqrt(2*rho_mean) and n = 1/2, on both sides of each band edge.
     # For each edge i, a door joins zone a_i to zone b_i, of equal density,
-    # and one joins zone c_i to a facade.  Every reference height is a door's
-    # mid-height and there is no wind, so each mid-height dp is exactly p[a_i]
-    # or p[c_i].  An outdoor temperature 1 mK off the zones' makes the facade
-    # doors' mean density depend on the outdoor air; a neutral plane then sits
-    # at the mid-height when dp is 0 there, so only the nonzero edges are taken.
+    # and one joins zone c_i to a facade; for each nonzero edge, one joins
+    # zone d_i to zone e_i, 1 mK warmer, a law opening whose k `boundary`
+    # sets, as it does the facade doors'.  Every reference height is a door's
+    # mid-height and there is no wind, so each mid-height dp is exactly p[a_i],
+    # p[c_i] or p[d_i].  A density difference puts the neutral plane at the
+    # mid-height when dp is 0 there, where Picard refuses the door, and just
+    # off it elsewhere, as the edges are far above 1 mK's stack pressure.  An
+    # outdoor temperature 1 mK off the zones' makes the facade doors' mean
+    # density depend on the outdoor air, so only the nonzero edges are taken.
     rng = np.random.default_rng(19)
     zone_t = 293.15
     bc = an.BoundaryState(0.0, 0.0, zone_t + outdoor_dt)
@@ -197,9 +201,15 @@ def test_opening_mid_height_conductance_matches_the_float_form_at_the_band_edges
             facades.append(an.ExternalNode(f"out{i}", mid, (0.5,) * 8))
             links += [an.Link(f"ab{i}", f"a{i}", f"b{i}", 0.0, door)]
             links += [an.Link(f"co{i}", f"c{i}", f"out{i}", 0.0, door)]
+        warmer = [i for i, dp_mid in enumerate(edges) if dp_mid]
+        for i in warmer:
+            mid, door = 0.5 * height[i], an.LargeOpening(width[i], height[i], cd=cd[i])
+            zones += [an.Zone(f"d{i}", pair_t[i], mid), an.Zone(f"e{i}", pair_t[i] + 1e-3, mid)]
+            links += [an.Link(f"de{i}", f"d{i}", f"e{i}", 0.0, door)]
         net = an.Network(zones=tuple(zones), external_nodes=tuple(facades), links=tuple(links))
-        p = np.zeros(3 * m)
-        p[0::3], p[2::3] = edges, edges  # zones a_i and c_i
+        p = np.zeros(len(zones))
+        p[0 : 3 * m : 3], p[2 : 3 * m : 3] = edges, edges  # zones a_i and c_i
+        p[3 * m :: 2] = [edges[i] for i in warmer]  # zones d_i
         conductances = -np.diag(an.picard_system(net, p, bc, dp_lin).matrix)
         for i, dp_mid in enumerate(edges):
             k = cd[i] * width[i] * height[i]
@@ -209,6 +219,11 @@ def test_opening_mid_height_conductance_matches_the_float_form_at_the_band_edges
             facade = an.crack_conductance(k * math.sqrt(2.0 * rho_mean), 0.5, dp_mid, dp_lin)
             expected = [pair, pair, facade]  # zones a_i, b_i, c_i
             assert conductances[3 * i : 3 * i + 3].tolist() == expected
+        for j, i in enumerate(warmer):
+            k = cd[i] * width[i] * height[i]
+            rho_mean = 0.5 * (an.air_density(pair_t[i]) + an.air_density(pair_t[i] + 1e-3))
+            warm = an.crack_conductance(k * math.sqrt(2.0 * rho_mean), 0.5, edges[i], dp_lin)
+            assert conductances[3 * m + 2 * j : 3 * m + 2 * j + 2].tolist() == [warm, warm]
 
 
 # ---------------------------------------------------------------------------
