@@ -39,6 +39,9 @@ external node, a link or a model is the field of its name, except a link's
 its class.  A field with a default may be left out.  Any key that the
 schema does not name, in the document or in any record, is an error, so a
 misspelt optional field is not dropped silently.
+
+Each field also declares the range of its value and the message that reports
+a value outside it; `validate` adds only the rules that span records.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from pathlib import Path
 from typing import Union
 
@@ -80,6 +84,25 @@ class NetworkValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _checked(ok, message: str, default=MISSING):
+    """A record field with one check.  Each check in a field's "checks" is
+    `(ok, message, shown)`: a value for which `ok` is false is reported as
+    `message` formatted with `shown(value)` and the field's `name`."""
+    return field(default=default, metadata={"checks": ((ok, message, lambda value: value),)})
+
+
+def _positive(value: float) -> bool:
+    return 0 < value < math.inf
+
+
+def _cp_outside(cp: tuple[float, ...]) -> float | None:
+    """The first cp value outside [-2, 2], if any."""
+    return next((v for v in cp if not -2.0 <= v <= 2.0), None)
+
+
+_FINITE = (math.isfinite, "{name} must be finite, got {}")
+
+
 @dataclass(frozen=True)
 class Zone:
     """A room with an unknown reference pressure.
@@ -89,9 +112,9 @@ class Zone:
     """
 
     id: str
-    temperature_k: float
-    ref_height_m: float
-    mech_flow_kg_s: float = 0.0
+    temperature_k: float = _checked(_positive, "temperature must be finite and > 0 K, got {}")
+    ref_height_m: float = _checked(*_FINITE)
+    mech_flow_kg_s: float = _checked(*_FINITE, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -99,32 +122,38 @@ class ExternalNode:
     """A facade point whose pressure is imposed by wind and outdoor air."""
 
     id: str
-    ref_height_m: float
-    cp: tuple[float, ...]  # 8 sector coefficients, north first, 45 deg apart
+    ref_height_m: float = _checked(*_FINITE)
+    # 8 sector coefficients, north first, 45 deg apart
+    cp: tuple[float, ...] = field(metadata={"checks": (
+        (lambda cp: len(cp) == 8, "cp table must have 8 entries, got {}", len),
+        (lambda cp: _cp_outside(cp) is None, "cp value {} out of range [-2, 2]", _cp_outside),
+    )})
 
 
 @dataclass(frozen=True)
 class Crack:
     """Power-law small opening, mass flow = k * dP**n (kg/s, dP in Pa)."""
 
-    k: float
-    n: float
+    k: float = _checked(_positive, "crack coefficient k must be finite and > 0, got {}")
+    n: float = _checked(lambda n: 0.5 <= n <= 1.0, "crack exponent out of range [0.5, 1], got {}")
 
 
 @dataclass(frozen=True)
 class LargeOpening:
     """Tall aperture that can carry simultaneous two-way flow."""
 
-    width_m: float
-    height_m: float
-    cd: float = 0.6
+    width_m: float = _checked(_positive, "opening width_m must be finite and > 0, got {}")
+    height_m: float = _checked(_positive, "opening height_m must be finite and > 0, got {}")
+    cd: float = _checked(
+        lambda cd: 0 < cd <= 1, "discharge coefficient out of range (0, 1], got {}", default=0.6
+    )
 
 
 @dataclass(frozen=True)
 class Fan:
     """Fixed-flow device; flow is independent of pressures."""
 
-    flow_kg_s: float
+    flow_kg_s: float = _checked(*_FINITE)
 
 
 LinkModel = Union[Crack, LargeOpening, Fan]
@@ -137,7 +166,7 @@ class Link:
     id: str
     from_node: str
     to_node: str
-    elevation_m: float
+    elevation_m: float = _checked(*_FINITE)
     model: LinkModel
 
 
@@ -154,103 +183,73 @@ class Network:
 # validation
 
 
+@cache
+def _schema(cls) -> tuple[tuple[str, type, bool, tuple], ...]:
+    """(name, kind, required, checks) of each field of the record class `cls`."""
+    return tuple(
+        (f.name, {"id": str}.get(f.name, float), f.default is MISSING, f.metadata.get("checks", ()))
+        for f in fields(cls)
+    )
+
+
+def _field_violations(owner: str, record) -> list[str]:
+    """Each value of `record`'s fields that fails a check declared on its
+    field, reported under `owner`."""
+    return [
+        f"{owner}: " + message.format(shown(getattr(record, name)), name=name)
+        for name, _, _, checks in _schema(type(record))
+        for ok, message, shown in checks
+        if not ok(getattr(record, name))
+    ]
+
+
 def validate(net: Network) -> list[str]:
     """Return every invariant violation (empty list means the network is valid).
 
-    Checks performed: duplicate ids, unknown or self-referencing link
-    endpoints, finite heights and flows, parameter ranges for each link model,
-    positive temperatures, well-formed cp tables, and reachability of every
-    zone from some external node through the link graph (an unreachable zone
-    has an undetermined pressure).
+    Each field of each record, a link's model included, is checked against
+    the range its field declares: finite heights and flows, positive
+    temperatures, each model's parameter ranges, well-formed cp tables.
+    Only the rules that span records are written here: no zones, duplicate
+    ids, unknown or self-referencing link endpoints, and reachability of
+    every zone from an external node (else its pressure is undetermined).
     """
     violations: list[str] = []
-
-    def require_finite(owner: str, obj, *names: str) -> None:
-        for name in names:
-            value = getattr(obj, name)
-            if not math.isfinite(value):
-                violations.append(f"{owner}: {name} must be finite, got {value}")
-
     if not net.zones:
         violations.append("network has no zones")
 
-    seen: set[str] = set()
+    node_ids: set[str] = set()
     for node_id in [z.id for z in net.zones] + [n.id for n in net.external_nodes]:
-        if node_id in seen:
+        if node_id in node_ids:
             violations.append(f"duplicate node id '{node_id}'")
-        seen.add(node_id)
+        node_ids.add(node_id)
 
-    for zone in net.zones:
-        if not 0 < zone.temperature_k < math.inf:
-            violations.append(
-                f"zone '{zone.id}': temperature must be finite and > 0 K, got {zone.temperature_k}"
-            )
-        require_finite(f"zone '{zone.id}'", zone, "ref_height_m", "mech_flow_kg_s")
+    for kind, records in (("zone", net.zones), ("external node", net.external_nodes)):
+        for record in records:
+            violations += _field_violations(f"{kind} '{record.id}'", record)
 
-    for node in net.external_nodes:
-        require_finite(f"external node '{node.id}'", node, "ref_height_m")
-        if len(node.cp) != 8:
-            violations.append(
-                f"external node '{node.id}': cp table must have 8 entries, got {len(node.cp)}"
-            )
-        for value in node.cp:
-            if not -2.0 <= value <= 2.0:
-                violations.append(
-                    f"external node '{node.id}': cp value {value} out of range [-2, 2]"
-                )
-                break
-
-    node_ids = seen
     seen_links: set[str] = set()
+    adjacency: dict[str, set[str]] = {}  # the undirected link graph
     for link in net.links:
+        owner = f"link '{link.id}'"
         if link.id in seen_links:
             violations.append(f"duplicate link id '{link.id}'")
         seen_links.add(link.id)
         if link.from_node == link.to_node:
-            violations.append(f"link '{link.id}': from and to are both '{link.from_node}'")
+            violations.append(f"{owner}: from and to are both '{link.from_node}'")
         for end in (link.from_node, link.to_node):
             if end not in node_ids:
-                violations.append(f"link '{link.id}': unknown endpoint '{end}'")
-        require_finite(f"link '{link.id}'", link, "elevation_m")
-        model = link.model
-        if isinstance(model, Crack):
-            if not 0 < model.k < math.inf:
-                violations.append(
-                    f"link '{link.id}': crack coefficient k must be finite and > 0, got {model.k}"
-                )
-            if not 0.5 <= model.n <= 1.0:
-                violations.append(
-                    f"link '{link.id}': crack exponent out of range [0.5, 1], got {model.n}"
-                )
-        elif isinstance(model, LargeOpening):
-            if not 0 < model.width_m < math.inf:
-                violations.append(
-                    f"link '{link.id}': opening width_m must be finite and > 0, got {model.width_m}"
-                )
-            if not 0 < model.height_m < math.inf:
-                violations.append(
-                    f"link '{link.id}': opening height_m must be finite and > 0, got {model.height_m}"
-                )
-            if not 0 < model.cd <= 1:
-                violations.append(
-                    f"link '{link.id}': discharge coefficient out of range (0, 1], got {model.cd}"
-                )
-        elif isinstance(model, Fan):
-            require_finite(f"link '{link.id}'", model, "flow_kg_s")
-
-    # Reachability: BFS over the undirected link graph from all external nodes.
-    adjacency: dict[str, set[str]] = {}
-    for link in net.links:
+                violations.append(f"{owner}: unknown endpoint '{end}'")
+        violations += _field_violations(owner, link) + _field_violations(owner, link.model)
         adjacency.setdefault(link.from_node, set()).add(link.to_node)
         adjacency.setdefault(link.to_node, set()).add(link.from_node)
+
+    # Reachability: BFS over the link graph from all external nodes.
     reached = {n.id for n in net.external_nodes}
     frontier = list(reached)
     while frontier:
-        current = frontier.pop()
-        for neighbor in adjacency.get(current, ()):
-            if neighbor not in reached:
-                reached.add(neighbor)
-                frontier.append(neighbor)
+        new = adjacency.get(frontier.pop(), set()) - reached
+        reached |= new
+        frontier += new
     for zone in net.zones:
         if zone.id not in reached:
             violations.append(f"unreachable zone '{zone.id}': no link path to any external node")
@@ -284,11 +283,11 @@ def _record(cls, obj: dict, context: str, read: tuple[str, ...] = (), **given):
     that names no such field is an error.
     """
     keys = set(read)
-    for f in fields(cls):
-        if f.name not in given:
-            keys.add(f.name)
-            if f.name in obj or f.default is MISSING:
-                given[f.name] = _require(obj, f.name, str if f.name == "id" else float, context)
+    for name, kind, required, _ in _schema(cls):
+        if name not in given:
+            keys.add(name)
+            if name in obj or required:
+                given[name] = _require(obj, name, kind, context)
     for key in obj:
         if key not in keys:
             raise NetworkFormatError(f"{context}: unknown field '{key}'")

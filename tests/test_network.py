@@ -193,17 +193,46 @@ def test_validate_exponent_out_of_range():
 
 
 def test_validate_collects_all_violations():
+    # Every per-field rule broken once, and every rule that spans records.
     net = an.Network(
-        zones=(an.Zone("a", -5.0, 0.0), an.Zone("b", 290.0, 0.0)),
-        external_nodes=(an.ExternalNode("out", 0.0, (3.0,) + (0.0,) * 7),),
+        zones=(
+            an.Zone("a", 0.0, math.nan, math.inf),
+            an.Zone("b", 293.15, 0.0),
+            an.Zone("b", 293.15, 0.0),
+            an.Zone("island", 293.15, 0.0),
+        ),
+        external_nodes=(
+            an.ExternalNode("out", -math.inf, (0.0,) * 7),
+            an.ExternalNode("west", 0.0, (0.0, 2.5, -3.0) + (0.0,) * 5),
+        ),
         links=(
-            an.Link("c", "out", "missing", 0.0, an.Crack(-1.0, 0.6)),
-            an.Link("d", "b", "b", 0.0, an.Crack(0.01, 0.6)),
+            an.Link("c", "out", "a", math.nan, an.Crack(0.0, 1.5)),
+            an.Link("c", "a", "a", 0.0, an.LargeOpening(math.inf, 0.0, 0.0)),
+            an.Link("f", "west", "ghost", 0.0, an.Fan(math.nan)),
+            an.Link("d", "out", "b", 0.0, an.Crack(0.01, 0.6)),
         ),
     )
-    violations = an.validate(net)
-    # temperature, cp range, unknown endpoint, bad k, self loop, unreachable a and b
-    assert len(violations) >= 6
+    assert an.validate(net) == [
+        "duplicate node id 'b'",
+        "zone 'a': temperature must be finite and > 0 K, got 0.0",
+        "zone 'a': ref_height_m must be finite, got nan",
+        "zone 'a': mech_flow_kg_s must be finite, got inf",
+        "external node 'out': ref_height_m must be finite, got -inf",
+        "external node 'out': cp table must have 8 entries, got 7",
+        "external node 'west': cp value 2.5 out of range [-2, 2]",
+        "link 'c': elevation_m must be finite, got nan",
+        "link 'c': crack coefficient k must be finite and > 0, got 0.0",
+        "link 'c': crack exponent out of range [0.5, 1], got 1.5",
+        "duplicate link id 'c'",
+        "link 'c': from and to are both 'a'",
+        "link 'c': opening width_m must be finite and > 0, got inf",
+        "link 'c': opening height_m must be finite and > 0, got 0.0",
+        "link 'c': discharge coefficient out of range (0, 1], got 0.0",
+        "link 'f': unknown endpoint 'ghost'",
+        "link 'f': flow_kg_s must be finite, got nan",
+        "unreachable zone 'island': no link path to any external node",
+    ]
+    assert an.validate(an.Network(zones=())) == ["network has no zones"]
 
 
 def test_validate_bad_opening_parameters():
@@ -303,6 +332,55 @@ def test_validate_rejects_non_finite_fields(net, field):
     violations = an.validate(net)
     assert len(violations) == 1
     assert field in violations[0]
+
+
+def _with_cp(*cp):
+    return dataclasses.replace(
+        _finite_base(), external_nodes=(an.ExternalNode("out", 0.0, cp + (0.0,) * (8 - len(cp))),)
+    )
+
+
+_TINY = 5e-324  # the least positive float
+
+
+@pytest.mark.parametrize(
+    "net, valid",
+    [
+        (_with_link(0, n=0.5), True),
+        (_with_link(0, n=1.0), True),
+        (_with_link(0, n=math.nextafter(0.5, 0.0)), False),
+        (_with_link(0, n=math.nextafter(1.0, 2.0)), False),
+        (_with_link(1, cd=1.0), True),
+        (_with_link(1, cd=0.0), False),
+        (_with_link(1, cd=math.nextafter(1.0, 2.0)), False),
+        (_with_cp(2.0, -2.0), True),
+        (_with_cp(math.nextafter(2.0, 3.0)), False),
+        (_with_cp(math.nextafter(-2.0, -3.0)), False),
+        (_with_zone(temperature_k=_TINY), True),
+        (_with_zone(temperature_k=0.0), False),
+        (_with_zone(temperature_k=math.inf), False),
+        (_with_link(0, k=_TINY), True),
+        (_with_link(0, k=0.0), False),
+        (_with_link(0, k=math.inf), False),
+        (_with_link(1, width_m=_TINY), True),
+        (_with_link(1, width_m=0.0), False),
+        (_with_link(1, width_m=math.inf), False),
+        (_with_link(1, height_m=_TINY), True),
+        (_with_link(1, height_m=0.0), False),
+        (_with_link(1, height_m=math.inf), False),
+    ],
+    ids=[
+        "n-0.5", "n-1", "n-below-0.5", "n-above-1",
+        "cd-1", "cd-0", "cd-above-1",
+        "cp-2-and-minus-2", "cp-above-2", "cp-below-minus-2",
+        "temperature_k-tiny", "temperature_k-0", "temperature_k-inf",
+        "k-tiny", "k-0", "k-inf",
+        "width_m-tiny", "width_m-0", "width_m-inf",
+        "height_m-tiny", "height_m-0", "height_m-inf",
+    ],
+)
+def test_validate_range_edges(net, valid):
+    assert len(an.validate(net)) == (0 if valid else 1)
 
 
 @pytest.mark.parametrize("name", ["two_crack", "threestorey", "iea_door", "dwelling5", "dwelling5_cracks"])
