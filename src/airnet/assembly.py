@@ -6,8 +6,9 @@ boundary state, this module produces:
 * the residual f(p): net mass inflow per zone, including mechanical
   ventilation, which is zero at the solution;
 * the Jacobian J(p) = df/dp for Newton steps;
-* the linear fixed-point system A(p) x = B(p) with conductances frozen at
-  the current iterate, used by the Picard initializer;
+* the secant matrix A(p), the Jacobian's pattern with conductances frozen
+  at the current iterate, from which the Picard initializer steps by
+  -A^-1 f(p);
 * the flow through each link, for callers that report flows.
 
 Stack pressures use a constant density per node column between the node's
@@ -49,7 +50,6 @@ from .network import Crack, ExternalNode, Fan, LargeOpening, Network
 
 __all__ = [
     "BoundaryState",
-    "LinearSystem",
     "ReciprocalFlowError",
     "boundary_pressure",
     "link_flows",
@@ -96,13 +96,6 @@ class BoundaryState:
         object.__setattr__(self, "wind_direction_deg", 0.0 if direction == 360.0 else direction)
 
 
-class LinearSystem(NamedTuple):
-    """Dense zone-balance system: matrix @ p = rhs (Pa -> kg/s)."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
 def boundary_pressure(node: ExternalNode, bc: BoundaryState) -> float:
     """Wind pressure at an external node, 0.5 * rho_out * Cp(dir) * v**2.
 
@@ -143,7 +136,6 @@ class _Boundary(NamedTuple):
 
     bc: BoundaryState
     ends: np.ndarray
-    picard_coef: np.ndarray  # the factor of each Picard term (see _CompiledNetwork)
     crack_kk: np.ndarray  # each member's k, twice, the law openings' mid-height k set
     crack_nk: np.ndarray  # n * k of each member
     opening_args: list[tuple]  # (width, height, cd, rho_from, rho_to) per law opening
@@ -186,21 +178,21 @@ class _CompiledNetwork:
     of the members sit in one array, every member's from end and then every
     member's to end, so one subtraction gives every dp.
 
-    The residual, the Jacobian and the Picard system are each summed by one
-    np.bincount over a layout of their own, whose terms are gathered back
-    into link order, `from` end before `to` end, so each sum is added up in
-    the same order, with the same rounding, as a loop over the links would
-    give it; a term at an external end is in no layout.  A point keeps the
-    row values the residual gathers, the mechanical flows, the fan flows and
-    each member's flow, in one vector copied from `row_values` and filled in
-    by the crack pass and the opening laws.  The Jacobian gathers from the
-    slopes alone, with the opening laws' derivatives appended when the
-    network has law openings, and the Picard system from the crack pass's
-    k * g: a crack's at its elevation, an opening's at its mid-height.
-    `boundary` computes what the weather sets: the offsets of the ends at
-    external nodes, the law openings' arguments (an end at an external node
-    takes the outdoor density) and, from them, their mid-height k, and the
-    Picard rhs terms.
+    The residual and the Jacobian are each summed by one np.bincount over a
+    layout of its own, whose terms are gathered back into link order, `from`
+    end before `to` end, so each sum is added up in the same order, with the
+    same rounding, as a loop over the links would give it; a term at an
+    external end is in no layout.  A point keeps the row values the residual
+    gathers, the mechanical flows, the fan flows and each member's flow, in
+    one vector copied from `row_values` and filled in by the crack pass and
+    the opening laws.  The Jacobian gathers from the slopes alone, with the
+    opening laws' derivatives appended when the network has law openings.
+    The Picard matrix takes the Jacobian's layout and gathers from the crack
+    pass's k * g: a crack's at its elevation, an opening's at its
+    mid-height.  `boundary` computes what the weather sets: the offsets of
+    the ends at external nodes and the law openings' arguments (an end at an
+    external node takes the outdoor density) and, from them, their
+    mid-height k.
     """
 
     def __init__(self, net: Network):
@@ -295,23 +287,17 @@ class _CompiledNetwork:
         slot_of[order] = np.arange(len(slotted))
         self.slot_of = slot_of.tolist()
         nf = len(fans)
-        mech_fans = np.concatenate((self.mech, self.fan_flow))
-        # A point's row values: these, then each member's flow.
-        self.row_values = np.concatenate((mech_fans, np.zeros(self.n_members)))
+        # A point's row values: the mechanical flows, the fan flows, then each
+        # member's flow.
+        self.row_values = np.concatenate((self.mech, self.fan_flow, np.zeros(self.n_members)))
         self.crack_values = slice(n + nf, n + nf + npow)
         self.opening_values = slice(n + nf + npow, None)
-        fan_values = n + np.arange(nf)
         link_bins = np.column_stack((col_f[slot_of], col_t[slot_of])).ravel()
         row_bin = np.concatenate((np.arange(n), link_bins))
         in_zone = row_bin < n
         self.row_index = row_bin[in_zone]
-
-        def row_gather(members: np.ndarray) -> np.ndarray:
-            """Each row term's value, the coupled links' from `members`."""
-            of_slot = np.concatenate((n + nf + members, fan_values))
-            return np.concatenate((np.arange(n), np.repeat(of_slot[slot_of], 2)))[in_zone]
-
-        self.row_gather = row_gather(at_elevation)
+        of_slot = np.concatenate((n + nf + at_elevation, n + np.arange(nf)))
+        self.row_gather = np.concatenate((np.arange(n), np.repeat(of_slot[slot_of], 2)))[in_zone]
         self.row_sign = np.concatenate((np.ones(n), np.tile(_ROW_SIGNS, len(slotted))))[in_zone]
         coupled_slots = slot_of[slot_of < coupled]
         f, t = col_f[coupled_slots], col_t[coupled_slots]
@@ -322,20 +308,9 @@ class _CompiledNetwork:
         entry_slot = np.repeat(coupled_slots, 4)[in_zones]
         self.entry_gather = at_elevation[entry_slot]
         self.entry_sign = np.tile(_ENTRY_SIGNS, coupled)[in_zones]
-
-        # The Picard system scatters the rhs over the residual's layout and the
-        # matrix over the Jacobian's, from bin n on, in one np.bincount.  Its
-        # values are -mech per zone, -flow per fan and G per coupled link, the
-        # k * g of its Picard member; G's row terms take that member's to minus
-        # from offset, as G * (off_f - off_t) is constant.
-        self.neg_mech_fans = -mech_fans
-        self.picard_index = np.concatenate((self.row_index, n + self.entry_index))
-        picard_rows = row_gather(picard_member)
-        self.picard_gather = np.concatenate((picard_rows, n + nf + picard_member[entry_slot]))
-        self.picard_sign = np.concatenate((self.row_sign, self.entry_sign))
-        self.picard_rhs = np.flatnonzero(picard_rows >= n + nf)
-        self.rhs_f = picard_rows[self.picard_rhs] - (n + nf)
-        self.rhs_t = self.rhs_f + self.n_members
+        # The Picard matrix takes the Jacobian's layout, each entry gathered
+        # from the k * g of its link's Picard member.
+        self.picard_gather = picard_member[entry_slot]
         self._point: _Point | None = None
 
     def boundary(self, bc: BoundaryState) -> _Boundary:
@@ -344,8 +319,6 @@ class _CompiledNetwork:
         wind = np.array([boundary_pressure(e, bc) for e in self.externals])
         ends = self.ends.copy()
         ends[self.facade_ends] = wind.take(self.facade_node) - (rho_out * GRAVITY) * self.facade_dz
-        coef = self.picard_sign.copy()
-        coef[self.picard_rhs] *= ends.take(self.rhs_t) - ends.take(self.rhs_f)
         args = [
             (w, h, cd, rho_out if rf is None else rf, rho_out if rt is None else rt)
             for w, h, cd, rf, rt in self.law_openings
@@ -355,13 +328,20 @@ class _CompiledNetwork:
             mid_k = [_orifice_k(w, h, cd, 0.5 * (rf + rt)) for w, h, cd, rf, rt in args]
             k = np.append(self.crack_k, mid_k)
             crack_kk, crack_nk = np.concatenate((k, k)), self.crack_n * k
-        return _Boundary(bc, ends, coef, crack_kk, crack_nk, args)
+        return _Boundary(bc, ends, crack_kk, crack_nk, args)
 
     def slopes(self, at: _Point) -> np.ndarray:
         """Each crack-pass member's slope at a point."""
         slopes = at.boundary.crack_nk * at.crack_g
         np.copyto(slopes, at.crack_kg, where=at.crack_lin)
         return slopes
+
+    def matrix(self, values: np.ndarray, gather: np.ndarray) -> np.ndarray:
+        """The n x n matrix over the Jacobian's layout whose coupled links
+        take the values at `gather`: their slopes, or their Picard k * g."""
+        n = self.n
+        terms = values.take(gather) * self.entry_sign
+        return np.bincount(self.entry_index, terms, minlength=n * n).reshape(n, n)
 
     def point(self, p, bc: BoundaryState, dp_lin: float) -> _Point:
         """The links evaluated at p, kept until a call brings another point;
@@ -447,9 +427,7 @@ def jacobian(
     slopes = c.slopes(at)
     if at.opening_flows:
         slopes = np.concatenate((slopes, [two_way.derivative for two_way in at.opening_flows]))
-    n = c.n
-    terms = slopes.take(c.entry_gather) * c.entry_sign
-    return np.bincount(c.entry_index, terms, minlength=n * n).reshape(n, n)
+    return c.matrix(slopes, c.entry_gather)
 
 
 def link_flows(
@@ -482,15 +460,20 @@ def link_flows(
 
 def picard_system(
     net: Network, p: np.ndarray, bc: BoundaryState, dp_lin: float = DP_LIN_DEFAULT
-) -> LinearSystem:
-    """Zone-balance system with conductances frozen at the current iterate.
+) -> np.ndarray:
+    """The secant matrix A(p): the Jacobian's pattern with each coupled
+    link's slope replaced by its conductance frozen at the current iterate.
 
-    Cracks contribute their secant conductance; a large opening is collapsed
-    to a single equivalent orifice at its mid-height (K = cd*W*H*sqrt(2*rho_mean),
-    exponent 1/2), a member of the crack pass.  All pressure-proportional
-    terms go to the matrix and all constant terms (wind pressures, stack
-    offsets, fans, mechanical flows) to the right-hand side, so a fixed point
-    of the map is a root of the residual for crack-only networks.
+    A crack contributes its secant conductance k * max(|dp|, dp_lin)**(n-1);
+    a large opening is collapsed to a single equivalent orifice at its
+    mid-height (K = cd*W*H*sqrt(2*rho_mean), exponent 1/2), a member of the
+    crack pass.  The constant terms (wind pressures, stack offsets, fans,
+    mechanical flows) have no right-hand side of their own: Picard steps by
+    -A^-1 F(p) from the residual F, which sums them.  Where every large
+    opening joins zones of equal density, A(p) @ p - F(p) is the right-hand
+    side b(p) of the paper's linear system A x = b, so that step leads to
+    its solution; and a fixed point of the step is a root of the residual
+    whatever A holds.
 
     Raises ReciprocalFlowError when any large opening currently carries
     two-way flow: the single-conductance picture cannot represent it.
@@ -501,8 +484,4 @@ def picard_system(
         for link_id, two_way in zip(c.opening_ids, at.opening_flows):
             if two_way.bidirectional:
                 raise ReciprocalFlowError(link_id)
-    values = np.concatenate((c.neg_mech_fans, at.crack_kg))
-    n = c.n
-    terms = values.take(c.picard_gather) * at.boundary.picard_coef
-    summed = np.bincount(c.picard_index, terms, minlength=n + n * n)
-    return LinearSystem(summed[n:].reshape(n, n), summed[:n])
+    return c.matrix(at.crack_kg, c.picard_gather)

@@ -62,7 +62,8 @@ class SolverConfig:
     max_newton_iters -- Newton budget (each linear solve counts as one)
     fixed_relax      -- under-relaxation coefficient for the NR strategy
     picard_iters     -- fixed-point initializer budget
-    accel            -- fixed-point damping: p_next = accel*p + (1-accel)*p_star
+    accel            -- fixed-point damping: p_next = p + (accel-1) * A^-1 f(p),
+                        which is accel*p + (1-accel)*p_star
     trunc_dp_max     -- per-component cap on a single fixed-point update, Pa
     dp_lin           -- |dP| below which element laws are linearized, Pa
     """
@@ -185,9 +186,11 @@ def picard_init(
     """Run the damped fixed-point initializer from p0.
 
     Each iteration freezes the element conductances at the current
-    pressures, solves the resulting linear system for p_star, and applies
-    p_next = accel * p + (1 - accel) * p_star with every component change
-    truncated to +-trunc_dp_max.  Returns early as converged when the
+    pressures in the secant matrix A (see `picard_system`) and steps by
+    (accel - 1) * A^-1 f(p), f the residual, with every component change
+    truncated to +-trunc_dp_max: that is p_next = accel * p +
+    (1 - accel) * p_star, p_star the solution of the paper's linear system
+    A x = b, as A p - b = f(p).  Returns early as converged when the
     residual meets the tolerance (checked on entry and after every update),
     or aborted when the frozen matrix is singular or a large opening is in
     reciprocal flow; the last accepted iterate and its residual are kept
@@ -199,14 +202,13 @@ def picard_init(
         return PicardResult(p, 0, True, None, f)
     for k in range(cfg.picard_iters):
         try:
-            system = picard_system(net, p, bc, cfg.dp_lin)
+            matrix = picard_system(net, p, bc, cfg.dp_lin)
         except ReciprocalFlowError:
             return PicardResult(p, k, False, ABORT_RECIPROCAL, f)
-        report = lu_solve(system.matrix, system.rhs)
+        report = lu_solve(matrix, f)
         if report.singular:
             return PicardResult(p, k, False, ABORT_SINGULAR, f)
-        step = np.subtract(report.solution, p, out=report.solution)
-        step *= 1.0 - cfg.accel
+        step = report.solution * (cfg.accel - 1.0)
         np.minimum(np.maximum(step, -cfg.trunc_dp_max, out=step), cfg.trunc_dp_max, out=step)
         p = p + step
         f = residual(net, p, bc, cfg.dp_lin)

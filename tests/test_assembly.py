@@ -26,6 +26,7 @@ from helpers import (
     oracle_residual,
     random_boundary,
     random_crack_network,
+    random_open_building,
 )
 
 G = 9.81
@@ -308,6 +309,13 @@ def test_jacobian_matches_finite_difference():
 # Picard system
 
 
+def picard_step(net, p, bc):
+    """The undamped Picard update at p, -A(p)^-1 F(p), or None where the
+    secant matrix is singular."""
+    report = an.lu_solve(an.picard_system(net, p, bc), an.residual(net, p, bc))
+    return None if report.singular else -report.solution
+
+
 def test_picard_system_linear_network_solves_in_one_step():
     net = an.Network(
         zones=(an.Zone("a", 293.0, 0.0), an.Zone("b", 293.0, 0.0)),
@@ -320,23 +328,22 @@ def test_picard_system_linear_network_solves_in_one_step():
     )
     bc = an.BoundaryState(5.0, 0.0, 282.44)  # hi facade at 10 Pa
     p0 = np.zeros(2)
-    system = an.picard_system(net, p0, bc)
+    matrix = an.picard_system(net, p0, bc)
     jac = an.jacobian(net, p0, bc)
-    assert np.allclose(system.matrix, jac, rtol=1e-12)  # n = 1: same pattern
-    report = an.lu_solve(system.matrix, system.rhs)
-    assert np.allclose(report.solution, [20.0 / 3.0, 10.0 / 3.0], rtol=1e-12)
-    assert np.allclose(an.residual(net, report.solution, bc), 0.0, atol=1e-12)
+    assert np.allclose(matrix, jac, rtol=1e-12)  # n = 1: same pattern
+    solution = p0 + picard_step(net, p0, bc)
+    assert np.allclose(solution, [20.0 / 3.0, 10.0 / 3.0], rtol=1e-12)
+    assert np.allclose(an.residual(net, solution, bc), 0.0, atol=1e-12)
 
 
 def test_picard_system_single_zone_fixed_point():
     net = single_zone_two_cracks(k=0.01, n=0.5)
     bc = an.BoundaryState(5.0, 0.0, 282.44)
     p = np.array([5.0])
-    system = an.picard_system(net, p, bc)
+    matrix = an.picard_system(net, p, bc)
     conductance = 0.01 * 5.0 ** (-0.5)
-    assert system.matrix[0, 0] == pytest.approx(-2 * conductance, rel=1e-9)
-    report = an.lu_solve(system.matrix, system.rhs)
-    assert report.solution[0] == pytest.approx(5.0, rel=1e-9)
+    assert matrix[0, 0] == pytest.approx(-2 * conductance, rel=1e-9)
+    assert (p + picard_step(net, p, bc))[0] == pytest.approx(5.0, rel=1e-9)
 
 
 def test_picard_system_isolated_zone_singular_row():
@@ -346,9 +353,9 @@ def test_picard_system_isolated_zone_singular_row():
         links=(an.Link("c", "out", "a", 0.0, an.Crack(0.01, 0.6)),),
     )
     bc = an.BoundaryState(2.0, 0.0, 290.0)
-    system = an.picard_system(net, np.zeros(2), bc)
-    assert np.allclose(system.matrix[1], 0.0)
-    assert an.lu_solve(system.matrix, system.rhs).singular
+    matrix = an.picard_system(net, np.zeros(2), bc)
+    assert np.allclose(matrix[1], 0.0)
+    assert picard_step(net, np.zeros(2), bc) is None
 
 
 def test_picard_system_reciprocal_flow_raises():
@@ -372,18 +379,30 @@ def test_reciprocal_flow_error_survives_pickle_and_copy():
 
 
 def test_picard_fixed_point_matches_newton_root():
-    # Substituting the Newton solution into the Picard system and solving
-    # once must not move the pressures (crack-only networks).
+    # One Picard step from a Newton root must not move the pressures: the
+    # step is taken from the residual, so this holds on crack-only networks
+    # and on open buildings wherever no opening carries two-way flow.
     rng = np.random.default_rng(211)
+    cfg = an.SolverConfig(tolerance=1e-11, max_newton_iters=4000)
     for _ in range(15):
         net = random_crack_network(rng, int(rng.integers(2, 5)))
         bc = random_boundary(rng)
-        cfg = an.SolverConfig(tolerance=1e-11, max_newton_iters=4000)
         solution = an.solve(net, bc, None, "WM", cfg).pressures
-        system = an.picard_system(net, solution, bc)
-        report = an.lu_solve(system.matrix, system.rhs)
-        assert not report.singular
-        assert np.max(np.abs(report.solution - solution)) < 1e-6
+        assert np.max(np.abs(picard_step(net, solution, bc))) < 1e-6
+    checked = 0
+    for i in range(40):
+        net = random_open_building(np.random.default_rng(i)).net
+        boundaries = np.random.default_rng(5)
+        for _ in range(5):
+            bc = random_boundary(boundaries)
+            solution = an.solve(net, bc, None, "WM", cfg).pressures
+            try:
+                step = picard_step(net, solution, bc)
+            except an.ReciprocalFlowError:
+                continue
+            assert np.max(np.abs(step)) <= 1e-9, (i, bc)
+            checked += 1
+    assert checked >= 1  # 3 of the 200 roots: two of building 12, one of 30
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +443,7 @@ def mixed_network(with_door=True):
 def facade_windows_network():
     """Two zones at 297 K and 301 K with a window from the facade into one and
     a window from the other out to the facade, a door between them, a crack
-    and a fan.  A window's law arguments and Picard coefficient take the
+    and a fan.  A window's law arguments and Picard orifice k take the
     outdoor density, so they change with the weather, unlike the door's."""
     links = [
         an.Link("win_in", "n", "a", 0.9, an.LargeOpening(0.8, 1.0)),
@@ -490,26 +509,23 @@ def test_mixed_network_jacobian_matches_finite_difference():
 
 
 def test_mixed_network_picard_fixed_point_matches_newton_root():
-    # Without the door the network is cracks, a fan and a mechanical flow:
-    # constants on the right-hand side, so the Newton root is a fixed point.
+    # Without the door the network is cracks, a fan and a mechanical flow,
+    # whose constant terms the residual carries: a Newton root is a fixed
+    # point.
     net = mixed_network(with_door=False)
     rng = np.random.default_rng(7)
     cfg = an.SolverConfig(tolerance=1e-11, max_newton_iters=4000)
     for _ in range(10):
         bc = random_boundary(rng)
         solution = an.solve(net, bc, None, "WM", cfg).pressures
-        system = an.picard_system(net, solution, bc)
-        report = an.lu_solve(system.matrix, system.rhs)
-        assert not report.singular
-        assert np.max(np.abs(report.solution - solution)) < 1e-6
+        assert np.max(np.abs(picard_step(net, solution, bc))) < 1e-6
 
 
 def assembled(net, p, bc):
     """Every assembly output at one state, as bytes, for exact comparison."""
     out = [an.residual(net, p, bc).tobytes(), an.jacobian(net, p, bc).tobytes()]
     try:
-        system = an.picard_system(net, p, bc)
-        out += [system.matrix.tobytes(), system.rhs.tobytes()]
+        out.append(an.picard_system(net, p, bc).tobytes())
     except an.ReciprocalFlowError as err:
         out.append(err.link_id)
     out.append(list(an.link_flows(net, p, bc).values()))
@@ -522,8 +538,6 @@ def evaluated(assemble, net, p, bc, dp_lin=an.DP_LIN_DEFAULT):
         out = assemble(net, p, bc, dp_lin)
     except an.ReciprocalFlowError as err:
         return err.link_id
-    if isinstance(out, an.LinearSystem):
-        return [out.matrix.tobytes(), out.rhs.tobytes()]
     if isinstance(out, dict):
         return list(out.items())
     return out.tobytes()
@@ -643,7 +657,7 @@ def test_solves_share_one_network_across_threads():
 
 
 def test_facade_windows_keep_their_weather_across_threads():
-    # A window's densities and Picard coefficient come with each boundary;
+    # A window's densities and Picard orifice k come with each boundary;
     # no thread may see another thread's weather in them.
     jobs = day_of_jobs(120)
     serial_net = facade_windows_network()
@@ -841,6 +855,6 @@ def test_boundary_terms_match_the_link_loop_at_sector_edges(direction):
         p = rng.uniform(-10, 10, len(net.zones))
         loop = loop_assembly(net, p, bc)
         assert an.residual(net, p, bc).tobytes() == loop.residual.tobytes()
-        picard = loop.picard if isinstance(loop.picard, str) else [a.tobytes() for a in loop.picard]
+        picard = loop.picard if isinstance(loop.picard, str) else loop.picard[0].tobytes()
         assert evaluated(an.picard_system, net, p, bc) == picard
         assert an.link_flows(net, p, bc) == loop.flows

@@ -158,7 +158,7 @@ def test_crack_laws_on_arrays_match_the_float_form_exactly(law):
                 [flow.net for flow in an.link_flows(net, p, bc, dp_lin).values()],
             ],
             an.crack_derivative: [-np.diag(an.jacobian(net, p, bc, dp_lin))],
-            an.crack_conductance: [-np.diag(an.picard_system(net, p, bc, dp_lin).matrix)],
+            an.crack_conductance: [-np.diag(an.picard_system(net, p, bc, dp_lin))],
         }
         expected = [law(*args, dp_lin) for args in zip(k, n, dp)]
         for values in assembled[law]:
@@ -210,7 +210,7 @@ def test_opening_mid_height_conductance_matches_the_float_form_at_the_band_edges
         p = np.zeros(len(zones))
         p[0 : 3 * m : 3], p[2 : 3 * m : 3] = edges, edges  # zones a_i and c_i
         p[3 * m :: 2] = [edges[i] for i in warmer]  # zones d_i
-        conductances = -np.diag(an.picard_system(net, p, bc, dp_lin).matrix)
+        conductances = -np.diag(an.picard_system(net, p, bc, dp_lin))
         for i, dp_mid in enumerate(edges):
             k = cd[i] * width[i] * height[i]
             rho = an.air_density(pair_t[i])

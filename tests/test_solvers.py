@@ -12,7 +12,7 @@ import airnet as an
 from airnet import assembly, solvers
 from airnet.scenario import boundary_from_record
 from airnet.solvers import walton_relaxation
-from helpers import many_openings_network, random_boundary, random_crack_network
+from helpers import loop_assembly, many_openings_network, random_boundary, random_crack_network
 
 # facade at 10 Pa with v = 5: 0.5 * 1.25 * 0.64 * 25 = 10 (rho exact at 282.44 K)
 BC10 = an.BoundaryState(5.0, 0.0, 282.44)
@@ -247,6 +247,37 @@ def test_walton_relaxation_first_iteration_full_step():
 # Picard initializer
 
 
+def assert_residual_is_its_own(net, bc, result):
+    """The residual a Picard result carries is the one at its pressures, bit
+    for bit: the linear solve takes it as its right-hand side and must leave
+    it as it was."""
+    assert result.residual.tobytes() == an.residual(net, result.pressures, bc).tobytes()
+
+
+@pytest.mark.parametrize("name", ["random", "dwelling5", "dwelling5_cracks", "two_crack", "threestorey"])
+def test_picard_step_is_the_papers_linear_system(name):
+    # The paper's Picard system A x = b, with b summed from every constant
+    # term by the loop oracle, meets the residual in A(p) p - b(p) = F(p) on
+    # networks with no law opening; so the step taken from the residual,
+    # -(1 - accel) A^-1 F, is the paper's (1 - accel) (A^-1 b - p).
+    rng = np.random.default_rng(sum(map(ord, name)))
+    cfg = an.SolverConfig(picard_iters=1, tolerance=1e-300)
+    for _ in range(20):
+        net = random_crack_network(rng) if name == "random" else an.load_network(an.bundled_example_path(name))
+        bc = random_boundary(rng)
+        p = rng.uniform(-20, 20, len(net.zones))
+        matrix, rhs = loop_assembly(net, p, bc).picard
+        secant = an.picard_system(net, p, bc)
+        f = an.residual(net, p, bc)
+        terms = np.abs(secant) @ np.abs(p) + np.abs(rhs) + np.abs(f)
+        assert np.all(np.abs(secant @ p - rhs - f) <= 1e-12 * terms)
+        result = an.picard_init(net, bc, p, cfg)
+        assert result.iters_used == 1 and result.aborted is None
+        paper = (1.0 - cfg.accel) * (an.lu_solve(matrix, rhs).solution - p)
+        expected = p + np.clip(paper, -cfg.trunc_dp_max, cfg.trunc_dp_max)
+        assert np.max(np.abs(result.pressures - expected)) <= 1e-9
+
+
 def test_picard_trace_matches_hand_computed_geometric_sequence():
     # Linear network: p* = (20/3, 10/3); with damping 0.5 the iterates are
     # p_k = p* (1 - 0.5^k).  Tiny tolerance keeps the loop from exiting early.
@@ -259,14 +290,17 @@ def test_picard_trace_matches_hand_computed_geometric_sequence():
         assert result.iters_used == k
         assert result.aborted is None
         assert np.allclose(result.pressures, p_star * (1 - 0.5**k), atol=1e-9)
+        assert_residual_is_its_own(net, BC10, result)
 
 
 def test_picard_converges_on_linear_network():
     # realistic crack size so the halving residual fits the 10-iteration budget
-    result = an.picard_init(linear_chain(k=0.01), BC10, np.zeros(2), an.SolverConfig())
+    net = linear_chain(k=0.01)
+    result = an.picard_init(net, BC10, np.zeros(2), an.SolverConfig())
     assert result.converged
     assert result.aborted is None
     assert result.iters_used <= 10
+    assert_residual_is_its_own(net, BC10, result)
 
 
 def test_picard_entry_check_short_circuits():
@@ -308,6 +342,7 @@ def test_picard_aborts_singular_and_keeps_pressures():
     assert not result.converged
     assert result.iters_used == 0
     assert np.array_equal(result.pressures, p0)
+    assert_residual_is_its_own(net, bc, result)
 
 
 def test_picard_aborts_on_reciprocal_flow():
@@ -316,6 +351,7 @@ def test_picard_aborts_on_reciprocal_flow():
     result = an.picard_init(net, bc, np.zeros(2), an.SolverConfig())
     assert result.aborted == "reciprocal-flow"
     assert result.iters_used == 0
+    assert_residual_is_its_own(net, bc, result)
 
 
 # ---------------------------------------------------------------------------
