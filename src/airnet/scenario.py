@@ -18,6 +18,7 @@ import csv
 import io
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -172,6 +173,10 @@ def generate_weather(
     """Synthetic weather series from 2024-01-01 00:00: sinusoidal diurnal
     temperature and a gusty, slowly veering wind.  Deterministic for a given
     seed."""
+    for name, value in (("days", days), ("step_minutes", step_minutes)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    days, step_minutes = int(days), int(step_minutes)  # timedelta takes no numpy integer
     if days < 1 or not 1 <= step_minutes <= days * 24 * 60:
         raise ValueError("days must be >= 1 and step_minutes from 1 to days * 1440")
     rng = np.random.default_rng(seed)
@@ -229,13 +234,11 @@ def run_simulation(
         raise ValueError("weather series is empty")
     cfg = cfg or SolverConfig()
     records: list[TimestepRecord] = []
-    previous: np.ndarray | None = None
-    zeros = np.zeros(len(net.zones))
+    previous: np.ndarray | None = None  # None starts the solve from zeros
     for rec in weather:
         bc = boundary_from_record(rec)
-        p0 = previous if (warm_start and previous is not None) else zeros
         try:
-            outcome, failed = solve(net, bc, p0, strategy, cfg), None
+            outcome, failed = solve(net, bc, previous, strategy, cfg), None
         except SolveError as exc:
             log.warning("%s %s: %s", strategy, rec.timestamp, exc)
             outcome, failed = exc.outcome, exc.reason

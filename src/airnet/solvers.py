@@ -6,9 +6,13 @@
 * PNR / PWM -- the same two, preceded by a fixed budget of Picard
          (fixed-point) iterations used as an initializer.
 
-Convergence is declared when the largest per-zone mass-balance residual
-drops to the configured tolerance (kg/s).  All iteration counters are
-reported so callers can account the Picard budget either way.
+Both stages run one loop, `_iterate`: at each iterate p it solves
+M(p) x = F(p), F the residual, and steps p <- p - step(x).  Picard takes the
+secant matrix and a damped, truncated step; Newton the Jacobian and a fixed
+or Walton-relaxed step.  Convergence is declared when the largest per-zone
+mass-balance residual drops to the configured tolerance (kg/s).  All
+iteration counters are reported so callers can account the Picard budget
+either way.
 """
 
 from __future__ import annotations
@@ -20,15 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (
-    BoundaryState,
-    ReciprocalFlowError,
-    jacobian,
-    link_flows,  # unused here; kept because perfbench/tracing.py wraps it in this module
-    picard_system,
-    residual,
-)
-from .linalg import lu_solve, max_abs
+from .assembly import BoundaryState, ReciprocalFlowError, jacobian, picard_system, residual
+from .assembly import link_flows  # unused; kept because perfbench/tracing.py wraps it here
+from .linalg import SolveReport, lu_solve, max_abs
 from .links import DP_LIN_DEFAULT
 from .network import Network
 
@@ -50,9 +48,6 @@ STRATEGIES = ("NR", "WM", "PNR", "PWM")
 # Lower bound of the Walton relaxation factor where corrections oscillate.
 OMEGA_MIN = 0.1
 
-ABORT_SINGULAR = "singular"
-ABORT_RECIPROCAL = "reciprocal-flow"
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -62,7 +57,7 @@ class SolverConfig:
     max_newton_iters -- Newton budget (each linear solve counts as one)
     fixed_relax      -- under-relaxation coefficient for the NR strategy
     picard_iters     -- fixed-point initializer budget
-    accel            -- fixed-point damping: p_next = p + (accel-1) * A^-1 f(p),
+    accel            -- fixed-point damping: p_next = p - (1-accel) * A^-1 F(p),
                         which is accel*p + (1-accel)*p_star
     trunc_dp_max     -- per-component cap on a single fixed-point update, Pa
     dp_lin           -- |dP| below which element laws are linearized, Pa
@@ -78,18 +73,13 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("tolerance", "trunc_dp_max", "dp_lin"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 < self.fixed_relax <= 1:
             raise ValueError("fixed_relax must be in (0, 1]")
         if not 0 < self.accel < 1:
             raise ValueError("accel must be in (0, 1)")
-        if not self.trunc_dp_max > 0:
-            raise ValueError("trunc_dp_max must be > 0")
-        if not self.dp_lin > 0:
-            raise ValueError("dp_lin must be > 0")
         for name, least in (("max_newton_iters", 1), ("picard_iters", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -180,41 +170,73 @@ def walton_relaxation(correction: np.ndarray, correction_prev: np.ndarray | None
     return np.maximum(omega, OMEGA_MIN, out=omega)
 
 
-def picard_init(
-    net: Network, bc: BoundaryState, p0: np.ndarray, cfg: SolverConfig
-) -> PicardResult:
+def _start(net: Network, bc: BoundaryState, p0, cfg: SolverConfig) -> PicardResult:
+    """p0 as a new float array and its residual: the Picard result of no
+    update, which NR and WM report.  A start with a NaN or infinite pressure
+    is refused, as no iterate can come of it."""
+    p = np.array(p0, dtype=float)
+    if not math.isfinite(max_abs(p)):
+        raise ValueError("p0 must be finite, got a NaN or infinite pressure")
+    return PicardResult(p, 0, False, None, residual(net, p, bc, cfg.dp_lin))
+
+
+def _picard_step(x: np.ndarray, x_prev: np.ndarray | None, cfg: SolverConfig) -> np.ndarray:
+    """(1 - accel) * x, each component truncated to +-trunc_dp_max."""
+    step = x * (1.0 - cfg.accel)
+    return np.minimum(np.maximum(step, -cfg.trunc_dp_max, out=step), cfg.trunc_dp_max, out=step)
+
+
+def _fixed_step(x: np.ndarray, x_prev: np.ndarray | None, cfg: SolverConfig) -> np.ndarray:
+    return cfg.fixed_relax * x
+
+
+def _walton_step(x: np.ndarray, x_prev: np.ndarray | None, cfg: SolverConfig) -> np.ndarray:
+    # The first update's factors are all 1.0, and 1.0 * x is x.
+    return x if x_prev is None else walton_relaxation(x, x_prev) * x
+
+
+def _iterate(net, bc, p, f, cfg, budget, system, step):
+    """From p and its residual f, update p <- p - step(x, x_prev, cfg), x
+    solving system(net, p, bc, dp_lin) @ x = f and x_prev the last x, and
+    take the residual f at the new p.  Returns (p, f, updates, stop), where
+    stop is None once f meets the tolerance, "budget" when `budget` updates
+    are spent, the SolveReport of a singular matrix, or "reciprocal-flow"
+    when `picard_system` refuses p.
+    """
+    x_prev = None
+    for updates in range(budget + 1):
+        if _converged(f, cfg):
+            return p, f, updates, None
+        if updates == budget:
+            return p, f, updates, "budget"
+        try:
+            report = lu_solve(system(net, p, bc, cfg.dp_lin), f)
+        except ReciprocalFlowError:
+            return p, f, updates, "reciprocal-flow"
+        if report.singular:
+            return p, f, updates, report
+        p = p - step(report.solution, x_prev, cfg)
+        x_prev = report.solution
+        f = residual(net, p, bc, cfg.dp_lin)
+
+
+def picard_init(net: Network, bc: BoundaryState, p0: np.ndarray, cfg: SolverConfig) -> PicardResult:
     """Run the damped fixed-point initializer from p0.
 
-    Each iteration freezes the element conductances at the current
-    pressures in the secant matrix A (see `picard_system`) and steps by
-    (accel - 1) * A^-1 f(p), f the residual, with every component change
-    truncated to +-trunc_dp_max: that is p_next = accel * p +
-    (1 - accel) * p_star, p_star the solution of the paper's linear system
-    A x = b, as A p - b = f(p).  Returns early as converged when the
-    residual meets the tolerance (checked on entry and after every update),
-    or aborted when the frozen matrix is singular or a large opening is in
-    reciprocal flow; the last accepted iterate and its residual are kept
-    either way.
+    Each update freezes the element conductances at p in the secant matrix
+    A (see `picard_system`) and steps p <- p - (1 - accel) * A^-1 F(p), F the
+    residual, each component truncated to +-trunc_dp_max.  As A p - b = F(p),
+    that is accel * p + (1 - accel) * p_star, p_star solving the paper's
+    linear system A x = b.  Stops converged when F meets the tolerance (on
+    entry and after every update), or aborted when A is singular or a large
+    opening is in reciprocal flow, keeping the last iterate and its residual.
+    A p0 with a NaN or infinite entry raises ValueError.
     """
-    p = np.array(p0, dtype=float)
-    f = residual(net, p, bc, cfg.dp_lin)
-    if _converged(f, cfg):
-        return PicardResult(p, 0, True, None, f)
-    for k in range(cfg.picard_iters):
-        try:
-            matrix = picard_system(net, p, bc, cfg.dp_lin)
-        except ReciprocalFlowError:
-            return PicardResult(p, k, False, ABORT_RECIPROCAL, f)
-        report = lu_solve(matrix, f)
-        if report.singular:
-            return PicardResult(p, k, False, ABORT_SINGULAR, f)
-        step = report.solution * (cfg.accel - 1.0)
-        np.minimum(np.maximum(step, -cfg.trunc_dp_max, out=step), cfg.trunc_dp_max, out=step)
-        p = p + step
-        f = residual(net, p, bc, cfg.dp_lin)
-        if _converged(f, cfg):
-            return PicardResult(p, k + 1, True, None, f)
-    return PicardResult(p, cfg.picard_iters, False, None, f)
+    p, *_, f = _start(net, bc, p0, cfg)
+    p, f, used, stop = _iterate(net, bc, p, f, cfg, cfg.picard_iters, picard_system, _picard_step)
+    if isinstance(stop, SolveReport):
+        stop = "singular"
+    return PicardResult(p, used, stop is None, None if stop == "budget" else stop, f)
 
 
 def solve(
@@ -231,58 +253,32 @@ def solve(
     Newton stage unless it already converged.  Returns the converged
     SolveOutcome; when Newton exhausts its budget or meets a singular
     Jacobian, raises NonConvergenceError or SingularJacobianError carrying
-    the SolveOutcome it reached, Picard accounting included.
+    the SolveOutcome it reached, Picard accounting included.  A p0 with a
+    NaN or infinite entry raises ValueError.
     """
     cfg = cfg or SolverConfig()
     name = strategy.upper()
     if name not in STRATEGIES:
         raise ValueError(f"unknown strategy '{strategy}' (expected one of {STRATEGIES})")
-    p = np.zeros(len(net.zones)) if p0 is None else np.array(p0, dtype=float)
+    p0 = np.zeros(len(net.zones)) if p0 is None else p0
+    picard = picard_init(net, bc, p0, cfg) if name in ("PNR", "PWM") else _start(net, bc, p0, cfg)
 
-    picard_used, converged_in_picard, aborted = 0, False, None
-    if name in ("PNR", "PWM"):
-        p, picard_used, converged_in_picard, aborted, f = picard_init(net, bc, p, cfg)
-    else:
-        f = residual(net, p, bc, cfg.dp_lin)
-
-    # Newton; from a start Picard has converged, this takes no iteration.
-    walton = name in ("WM", "PWM")
-    correction_prev = None
-    iters = 0
-    failure = None  # (SolveError subclass, message) once Newton gives up
-    while not _converged(f, cfg):
-        if iters >= cfg.max_newton_iters:
-            failure = NonConvergenceError, (
-                f"{name}: no convergence after {iters} iterations "
-                f"(max residual {max_abs(f):.3e} kg/s)"
-            )
-            break
-        report = lu_solve(jacobian(net, p, bc, cfg.dp_lin), -f)
-        if report.singular:
-            failure = SingularJacobianError, (
-                f"singular Jacobian at Newton iteration {iters} "
-                f"(pivot ratio {report.pivot_ratio:.3e})"
-            )
-            break
-        correction = report.solution
-        if walton:
-            p = p + walton_relaxation(correction, correction_prev) * correction
-        else:
-            p = p + cfg.fixed_relax * correction
-        correction_prev = correction
-        iters += 1
-        f = residual(net, p, bc, cfg.dp_lin)
-
+    p, f, iters, stop = picard.pressures, picard.residual, 0, None
+    if not picard.converged:  # Newton, from the start or Picard's last iterate
+        step = _walton_step if name in ("WM", "PWM") else _fixed_step
+        p, f, iters, stop = _iterate(net, bc, p, f, cfg, cfg.max_newton_iters, jacobian, step)
     outcome = SolveOutcome(
-        strategy=name,
-        pressures=p,
-        newton_iters=iters,
-        picard_iters_used=picard_used,
-        converged_in_picard=converged_in_picard,
-        picard_aborted=aborted,
-        max_residual=max_abs(f),
+        name, p, iters, picard.iters_used, picard.converged, picard.aborted, max_abs(f)
     )
-    if failure is not None:
-        error, message = failure
-        raise error(message, outcome)
+    if stop == "budget":
+        raise NonConvergenceError(
+            f"{name}: no convergence after {iters} iterations "
+            f"(max residual {outcome.max_residual:.3e} kg/s)",
+            outcome,
+        )
+    if stop is not None:
+        raise SingularJacobianError(
+            f"singular Jacobian at Newton iteration {iters} (pivot ratio {stop.pivot_ratio:.3e})",
+            outcome,
+        )
     return outcome

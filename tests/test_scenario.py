@@ -134,6 +134,28 @@ def test_generate_weather_refuses_a_series_with_no_step(days, step_minutes):
         an.generate_weather(days=days, step_minutes=step_minutes)
 
 
+@pytest.mark.parametrize(
+    "days, step_minutes, message",
+    [
+        (1.5, 30, "days must be an integer, got 1.5"),
+        (True, 30, "days must be an integer, got True"),
+        (1, 30.0, "step_minutes must be an integer, got 30.0"),
+        (1, False, "step_minutes must be an integer, got False"),
+    ],
+    ids=["float-days", "bool-days", "float-step", "bool-step"],
+)
+def test_generate_weather_refuses_a_non_integer_argument(days, step_minutes, message):
+    # The rule of SolverConfig's integer fields: a float would break range(),
+    # and True would pass as one day.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        an.generate_weather(days=days, step_minutes=step_minutes)
+
+
+def test_generate_weather_takes_numpy_integers():
+    ours = an.generate_weather(days=np.int64(1), step_minutes=np.int32(720), seed=3)
+    assert ours == an.generate_weather(days=1, step_minutes=720, seed=3)
+
+
 def test_generate_weather_takes_one_step_a_series_long():
     (only,) = an.generate_weather(days=1, step_minutes=1440)
     assert only.timestamp == "2024-01-01T00:00:00"

@@ -145,6 +145,20 @@ def test_nan_residual_is_not_convergence(strategy):
             an.solve(net, BC10, None, strategy, an.SolverConfig())
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("strategy", an.STRATEGIES)
+def test_a_non_finite_start_is_refused(strategy, value):
+    # No iterate can come of a NaN or infinite start, so it is refused before
+    # any linear solve rather than reported as a singular matrix.
+    net = an.load_network(an.bundled_example_path("dwelling5"))
+    p0 = np.zeros(len(net.zones))
+    p0[2] = value
+    with pytest.raises(ValueError, match="^p0 must be finite"):
+        an.solve(net, BC10, p0, strategy, an.SolverConfig())
+    with pytest.raises(ValueError, match="^p0 must be finite"):
+        an.picard_init(net, BC10, p0, an.SolverConfig())
+
+
 @pytest.mark.parametrize("strategy", an.STRATEGIES)
 def test_integer_tolerance_counts_as_its_float(strategy):
     # int.__ge__(float) returns NotImplemented, which is truthy; a test built
@@ -538,6 +552,25 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
         assert sum(newton_iters for _, newton_iters in solves) > 0
         picard = any(name == "picard_system" for name, *_ in log)
         assert picard == (strategy in ("PNR", "PWM"))
+
+
+@pytest.mark.parametrize("newton, picard", [("NR", "PNR"), ("WM", "PWM")])
+def test_a_zero_picard_budget_adds_nothing_to_newton(newton, picard):
+    # With no Picard update to take, PNR and PWM are NR and WM bit for bit
+    # over the warm-started dwelling5 day: the Picard stage adds nothing but
+    # its own updates.
+    net = an.load_network(an.bundled_example_path("dwelling5"))
+    weather = an.generate_weather(days=1, seed=42)
+    cfg = an.SolverConfig(picard_iters=0)
+    alone = an.run_simulation(net, weather, newton, cfg)
+    after = an.run_simulation(net, weather, picard, cfg)
+    assert len(after) == len(alone) == 48
+    for ours, theirs in zip(after, alone):
+        assert ours.picard_iters == 0
+        assert np.array(ours.pressures).tobytes() == np.array(theirs.pressures).tobytes()
+        assert (ours.newton_iters, ours.max_residual) == (theirs.newton_iters, theirs.max_residual)
+        assert ours.failed is theirs.failed is None
+    assert sum(rec.newton_iters for rec in alone) > 0
 
 
 def test_picard_alone_solves_majority_of_cold_starts_on_crack_fixture():
