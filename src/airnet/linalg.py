@@ -11,15 +11,31 @@ at 18 x 18, 1.80 against 1.96 us at 320) and numpy from 361 on (1.97
 against 1.87 us); the two lines cross near 345.  On a 5 x 5 matrix dlange
 takes 0.45 us, numpy 2.0 us; on a 320 x 320 Jacobian dlange takes 615 us,
 numpy 64 us.
+
+The three LAPACK wrappers come from scipy's compiled module `_flapack`, the
+one that `scipy.linalg.lapack` re-exports, loaded from its file under
+scipy's `linalg` folder.  Importing it through `scipy.linalg` would run
+that package's init, which imports `scipy._lib.array_api_compat.numpy` and
+with it `numpy.testing`, `numpy.ma`, `numpy.random`, `numpy.f2py`,
+`unittest` and `email`: about 300 modules that airnet never calls.  They
+took more than half of `import airnet`: 0.36 against 0.16 s (median of 5
+fresh interpreters, 2 vCPUs of a shared Xeon) and 56.5 against 32.6 MB
+RSS.  `import scipy` alone runs only the top-level package, which sets up
+the wheel's shared libraries.  The functions are the same compiled
+objects: once `scipy.linalg` is imported too, CPython's extension cache
+makes `dgetrf is scipy.linalg.lapack.dgetrf`.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dlange
+import scipy
 
 __all__ = ["SolveReport", "lu_solve"]
 
@@ -31,6 +47,31 @@ PIVOT_THRESHOLD = 1e-12
 # The most entries max_abs hands to dlange: the measured crossover with
 # numpy's abs and max (see the module docstring).
 LANGE_MAX_SIZE = 340
+
+
+def _load_flapack():
+    """scipy's `_flapack` extension, loaded from its file without importing
+    `scipy.linalg`; `sys.modules` is left as it was."""
+    name = "scipy.linalg._flapack"
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {folder}")
+    loader = ExtensionFileLoader(name, path)
+    loaded = name in sys.modules
+    module = loader.create_module(ModuleSpec(name, loader, origin=path))
+    loader.exec_module(module)
+    if not loaded:
+        # A single-phase extension registers itself on creation.
+        sys.modules.pop(name, None)
+    return module
+
+
+_flapack = _load_flapack()
+dgetrf, dgetrs, dlange = _flapack.dgetrf, _flapack.dgetrs, _flapack.dlange
 
 
 class SolveReport(NamedTuple):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +72,13 @@ class SolverConfig:
     dp_lin: float = DP_LIN_DEFAULT
 
     def __post_init__(self):
+        # True is an int to Python, and would pass as 1 kg/s, 1 Pa or one
+        # iteration; a float would break range().
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, noun = (numbers.Integral, "an integer") if f.type == "int" else (numbers.Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         for name in ("tolerance", "trunc_dp_max", "dp_lin"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -82,8 +89,6 @@ class SolverConfig:
             raise ValueError("accel must be in (0, 1)")
         for name, least in (("max_newton_iters", 1), ("picard_iters", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
 

@@ -1,14 +1,20 @@
 """Dense LU solve and its singularity reporting."""
 
 import math
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from airnet import linalg
 from airnet.linalg import LANGE_MAX_SIZE, lu_solve, max_abs
 
 
@@ -90,6 +96,32 @@ def test_solution_has_the_bits_of_scipy_lu_factor_and_lu_solve(n):
         assert not report.singular
         expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
         assert report.solution.tobytes() == expected.tobytes()
+
+
+def test_the_wrappers_are_scipy_linalg_lapacks_own():
+    assert linalg.dgetrf is scipy.linalg.lapack.dgetrf
+    assert linalg.dgetrs is scipy.linalg.lapack.dgetrs
+    assert linalg.dlange is scipy.linalg.lapack.dlange
+
+
+def test_a_missing_lapack_extension_is_an_import_error_naming_its_folder(monkeypatch):
+    monkeypatch.setattr(linalg, "EXTENSION_SUFFIXES", [".missing"])
+    folder = str(Path(scipy.__file__).parent / "linalg")
+    with pytest.raises(ImportError, match=f"not found in {re.escape(folder)}$"):
+        linalg._load_flapack()
+
+
+def test_import_airnet_imports_no_part_of_scipy_linalg():
+    # A fresh interpreter, as this module imports scipy.linalg itself: the
+    # wrappers' extension is loaded from its file and left out of
+    # sys.modules, so scipy.linalg's package init never runs.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import airnet; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    )
+    src = str(Path(linalg.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

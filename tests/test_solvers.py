@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -645,8 +646,19 @@ def test_solver_config_validation():
     with pytest.raises(ValueError, match="picard_iters must be >= 0"):
         an.SolverConfig(picard_iters=-1)
     assert an.SolverConfig(picard_iters=0).picard_iters == 0
-    cfg = an.SolverConfig(max_newton_iters=np.int64(7), picard_iters=np.int32(2))
-    assert (cfg.max_newton_iters, cfg.picard_iters) == (7, 2)
+    cfg = an.SolverConfig(
+        max_newton_iters=np.int64(7), picard_iters=np.int32(2), tolerance=np.float64(1e-4), accel=np.float32(0.25)
+    )
+    assert (cfg.max_newton_iters, cfg.picard_iters, cfg.tolerance, cfg.accel) == (7, 2, 1e-4, 0.25)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.5", None], ids=repr)
+@pytest.mark.parametrize("field", ["tolerance", "fixed_relax", "accel", "trunc_dp_max", "dp_lin"])
+def test_solver_config_refuses_a_float_field_that_is_not_a_number(field, value):
+    # The integer fields' rule: True would pass as 1 kg/s, a relaxation of 1
+    # or 1 Pa.
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
+        an.SolverConfig(**{field: value})
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
