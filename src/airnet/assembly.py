@@ -46,7 +46,8 @@ from .links import (
     large_opening_derivative,
     large_opening_flow,
 )
-from .network import Crack, ExternalNode, Fan, LargeOpening, Network
+from .network import _NON_FINITE, Crack, ExternalNode, Fan, LargeOpening, Network
+from .network import _checked, _field_violations, _positive
 
 __all__ = [
     "BoundaryState",
@@ -79,18 +80,13 @@ class BoundaryState:
     Wind direction is in degrees from north, normalized to [0, 360).
     """
 
-    wind_speed: float
-    wind_direction_deg: float
-    outdoor_temp_k: float
+    wind_speed: float = _checked(_NON_FINITE, (lambda v: v >= 0, "wind speed must be >= 0, got {}"))
+    wind_direction_deg: float = _checked(_NON_FINITE)
+    outdoor_temp_k: float = _checked(_NON_FINITE, (_positive, "outdoor temperature must be > 0 K, got {}"))
 
     def __post_init__(self):
-        for name in ("wind_speed", "wind_direction_deg", "outdoor_temp_k"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite {name}: {getattr(self, name)}")
-        if self.wind_speed < 0:
-            raise ValueError(f"wind speed must be >= 0, got {self.wind_speed}")
-        if self.outdoor_temp_k <= 0:
-            raise ValueError(f"outdoor temperature must be > 0 K, got {self.outdoor_temp_k}")
+        for violation in _field_violations(self):
+            raise ValueError(violation)  # the first
         # A tiny negative direction reduces to 360.0, which is north too.
         direction = self.wind_direction_deg % 360.0
         object.__setattr__(self, "wind_direction_deg", 0.0 if direction == 360.0 else direction)

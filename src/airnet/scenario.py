@@ -18,14 +18,13 @@ import csv
 import io
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
 from .assembly import BoundaryState
-from .network import Network
+from .network import _INTEGRAL, Network, _is_number
 from .solvers import SolveError, SolverConfig, solve
 
 __all__ = [
@@ -174,7 +173,7 @@ def generate_weather(
     temperature and a gusty, slowly veering wind.  Deterministic for a given
     seed."""
     for name, value in (("days", days), ("step_minutes", step_minutes)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_number(value, _INTEGRAL):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     days, step_minutes = int(days), int(step_minutes)  # timedelta takes no numpy integer
     if days < 1 or not 1 <= step_minutes <= days * 24 * 60:

@@ -18,8 +18,7 @@ either way.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,7 @@ from .assembly import BoundaryState, ReciprocalFlowError, jacobian, picard_syste
 from .assembly import link_flows  # unused; kept because perfbench/tracing.py wraps it here
 from .linalg import SolveReport, lu_solve, max_abs
 from .links import DP_LIN_DEFAULT
-from .network import Network
+from .network import _POSITIVE, Network, _checked, _field_violations
 
 __all__ = [
     "STRATEGIES",
@@ -61,36 +60,22 @@ class SolverConfig:
                         which is accel*p + (1-accel)*p_star
     trunc_dp_max     -- per-component cap on a single fixed-point update, Pa
     dp_lin           -- |dP| below which element laws are linearized, Pa
+
+    Each field declares its range with `network._checked`, as network records
+    do; a ValueError names the first field out of range or not of its type.
     """
 
-    tolerance: float = 1e-3
-    max_newton_iters: int = 500
-    fixed_relax: float = 0.1
-    picard_iters: int = 10
-    accel: float = 0.5
-    trunc_dp_max: float = 60.0
-    dp_lin: float = DP_LIN_DEFAULT
+    tolerance: float = _checked(_POSITIVE, default=1e-3)
+    max_newton_iters: int = _checked((lambda n: n >= 1, "{name} must be >= 1, got {}"), default=500)
+    fixed_relax: float = _checked((lambda r: 0 < r <= 1, "fixed_relax must be in (0, 1]"), default=0.1)
+    picard_iters: int = _checked((lambda n: n >= 0, "{name} must be >= 0, got {}"), default=10)
+    accel: float = _checked((lambda a: 0 < a < 1, "accel must be in (0, 1)"), default=0.5)
+    trunc_dp_max: float = _checked(_POSITIVE, default=60.0)
+    dp_lin: float = _checked(_POSITIVE, default=DP_LIN_DEFAULT)
 
     def __post_init__(self):
-        # True is an int to Python, and would pass as 1 kg/s, 1 Pa or one
-        # iteration; a float would break range().
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, noun = (numbers.Integral, "an integer") if f.type == "int" else (numbers.Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-        for name in ("tolerance", "trunc_dp_max", "dp_lin"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not 0 < self.fixed_relax <= 1:
-            raise ValueError("fixed_relax must be in (0, 1]")
-        if not 0 < self.accel < 1:
-            raise ValueError("accel must be in (0, 1)")
-        for name, least in (("max_newton_iters", 1), ("picard_iters", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for violation in _field_violations(self):
+            raise ValueError(violation)  # the first
 
 
 @dataclass(frozen=True)

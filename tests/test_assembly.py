@@ -99,6 +99,30 @@ def test_boundary_state_rejects_non_finite(fields):
         an.BoundaryState(*fields)
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, "1", None], ids=repr)
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["wind_speed", "wind_direction_deg", "outdoor_temp_k"])
+def test_boundary_state_refuses_a_field_that_is_not_a_number(index, value):
+    # True is the number 1 to Python: BoundaryState(True, 0, 300) was solved
+    # as a 1 m/s wind.
+    fields = [1.0, 0.0, 290.0]
+    fields[index] = value
+    name = ("wind_speed", "wind_direction_deg", "outdoor_temp_k")[index]
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {re.escape(repr(value))}$"):
+        an.BoundaryState(*fields)
+
+
+def test_boundary_state_reports_its_first_bad_field():
+    # Each field is checked in turn, so a negative wind speed is reported
+    # before a non-finite direction.
+    with pytest.raises(ValueError, match=r"^wind speed must be >= 0, got -1\.0$"):
+        an.BoundaryState(-1.0, math.nan, 290.0)
+    with pytest.raises(ValueError, match="^non-finite wind_direction_deg: nan$"):
+        an.BoundaryState(1.0, math.nan, -1.0)
+    with pytest.raises(ValueError, match=r"^outdoor temperature must be > 0 K, got -1\.0$"):
+        an.BoundaryState(1.0, 0.0, -1.0)
+    assert an.BoundaryState(np.float64(2.0), np.int64(90), 290).wind_speed == 2.0
+
+
 # ---------------------------------------------------------------------------
 # link pressure differences
 

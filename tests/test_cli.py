@@ -56,6 +56,16 @@ def test_check_unparseable_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_refuses_a_key_written_twice(capsys, tmp_path):
+    # Parsed, the crack took the second value, 0.008, and the first was lost.
+    text = an.bundled_example_path("dwelling5").read_text()
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('"k": 0.008,', '"k": 5.0, "k": 0.008,', 1))
+    code, out, err = run(capsys, "check", "--network", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse {path}: key 'k' appears twice in one object\n"
+
+
 def test_check_accepts_a_byte_order_mark(capsys, tmp_path):
     path = tmp_path / "bom.json"
     path.write_bytes(b"\xef\xbb\xbf" + an.bundled_example_path("two_crack").read_bytes())

@@ -142,6 +142,26 @@ def test_parse_rejects_a_key_that_names_no_field(record, context, key):
     assert str(err.value) == f"{context}: unknown field '{key}'"
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"zones": [', '"zones": [], "zones": [', "zones"),
+        ('"temperature_k": 293.15', '"temperature_k": 250.0, "temperature_k": 293.15', "temperature_k"),
+        ('"elevation_m": 1.0', '"elevation_m": 5.0, "elevation_m": 1.0', "elevation_m"),
+        ('"k": 0.01', '"k": 5.0, "k": 0.01', "k"),
+    ],
+    ids=["document", "zone", "link", "model"],
+)
+def test_parse_rejects_a_key_written_twice_in_one_object(old, new, key):
+    # JSON keeps the last value of a repeated key, so the first was dropped
+    # without a word, as a misspelt key once was.
+    text = MINIMAL.replace(old, new)
+    assert text.count(f'"{key}"') == 2
+    with pytest.raises(an.NetworkFormatError) as err:
+        an.parse_network(text)
+    assert str(err.value) == f"key '{key}' appears twice in one object"
+
+
 def test_parse_unknown_model_type():
     doc = json.loads(MINIMAL)
     doc["links"][0]["model"] = {"type": "duct", "k": 1}
@@ -233,6 +253,59 @@ def test_validate_collects_all_violations():
         "unreachable zone 'island': no link path to any external node",
     ]
     assert an.validate(an.Network(zones=())) == ["network has no zones"]
+
+
+# A network with one record of each class, every field valid.
+ONE_OF_EACH = an.Network(
+    zones=(an.Zone("z1", 293.15, 1.0),),
+    external_nodes=(an.ExternalNode("out", 1.0, (0.5,) * 8),),
+    links=(
+        an.Link("c1", "out", "z1", 1.0, an.Crack(0.01, 0.65)),
+        an.Link("door", "out", "z1", 0.0, an.LargeOpening(0.8, 2.0)),
+        an.Link("sf", "out", "z1", 2.0, an.Fan(0.004)),
+    ),
+)
+
+
+def _replaced(group: str, index: int, model: bool = False, **changes) -> an.Network:
+    """ONE_OF_EACH with `changes` made to one record of `group`, or to its model."""
+    records = list(getattr(ONE_OF_EACH, group))
+    record = records[index]
+    if model:
+        changes = {"model": dataclasses.replace(record.model, **changes)}
+    records[index] = dataclasses.replace(record, **changes)
+    return dataclasses.replace(ONE_OF_EACH, **{group: tuple(records)})
+
+
+@pytest.mark.parametrize(
+    "net, message",
+    [
+        (_replaced("zones", 0, temperature_k=True), "zone 'z1': temperature_k must be a number, got True"),
+        (_replaced("zones", 0, temperature_k="300"), "zone 'z1': temperature_k must be a number, got '300'"),
+        (_replaced("zones", 0, mech_flow_kg_s=np.True_), "zone 'z1': mech_flow_kg_s must be a number, got np.True_"),
+        (_replaced("links", 0, elevation_m=None), "link 'c1': elevation_m must be a number, got None"),
+        (_replaced("links", 0, True, k=True), "link 'c1': k must be a number, got True"),
+        (_replaced("links", 1, True, cd=True), "link 'door': cd must be a number, got True"),
+        (_replaced("links", 2, True, flow_kg_s=True), "link 'sf': flow_kg_s must be a number, got True"),
+        (
+            _replaced("external_nodes", 0, cp=("a",) + (0.5,) * 7),
+            "external node 'out': cp must be a tuple of numbers, got ('a', 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)",
+        ),
+        (_replaced("external_nodes", 0, cp=None), "external node 'out': cp must be a tuple of numbers, got None"),
+    ],
+    ids=["bool", "str", "numpy-bool", "None", "k", "cd", "fan", "cp-entry", "cp-None"],
+)
+def test_validate_reports_a_value_of_the_wrong_type(net, message):
+    # True is the number 1 to Python, so a bool passed every range check; a
+    # string or None made a check raise TypeError instead of reporting.
+    assert an.validate(net) == [message]
+
+
+def test_validate_reports_only_the_first_failed_check_of_a_field():
+    # A cp table of 7 entries, one out of range: the length is reported and
+    # the range check is not run.
+    net = _replaced("external_nodes", 0, cp=(9.0,) * 7)
+    assert an.validate(net) == ["external node 'out': cp table must have 8 entries, got 7"]
 
 
 def test_validate_bad_opening_parameters():

@@ -8,7 +8,9 @@ raised SolveError carries the iterate it reached and that iterate's
 residual.  When all four strategies converge, they agree within the
 cross-strategy bound of the acceptance suite.  On an open building the
 compiled assembly equals the link loop bit for bit, and the link flows
-balance each zone's residual.
+balance each zone's residual.  A numeric field of a record, a boundary or a
+solver configuration that holds a bool, a string or None is reported or
+refused by name.
 """
 
 import dataclasses
@@ -179,3 +181,50 @@ def test_walton_relaxation_matches_the_masked_divide(correction, relations, fres
         warnings.simplefilter("error")  # no division by zero, even where unused
         omega = an.walton_relaxation(c, prev)
     assert omega.tobytes() == reference_walton_relaxation(c, prev).tobytes()
+
+
+# Values that are not numbers; True and np.True_ would pass a range check as 1.
+NOT_NUMBERS = st.sampled_from([True, False, np.True_, "1", None])
+DWELLING = an.load_network(an.bundled_example_path("dwelling5"))
+# (group, index, whether the link's model) of each record of dwelling5: its
+# zones, external nodes, links and their cracks, opening and fans.
+RECORDS = [
+    (group, i, in_model)
+    for group in ("zones", "external_nodes", "links")
+    for i in range(len(getattr(DWELLING, group)))
+    for in_model in ((False, True) if group == "links" else (False,))
+]
+OWNERS = {"zones": "zone", "external_nodes": "external node", "links": "link"}
+
+
+def _numeric_fields(record) -> list[str]:
+    return [f.name for f in dataclasses.fields(record) if f.type in ("float", "int", "tuple[float, ...]")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data(), bad=NOT_NUMBERS)
+def test_validate_reports_a_value_that_is_not_a_number_once_by_name(data, bad):
+    group, index, in_model = data.draw(st.sampled_from(RECORDS))
+    records = list(getattr(DWELLING, group))
+    record = records[index].model if in_model else records[index]
+    name = data.draw(st.sampled_from(_numeric_fields(record)))
+    value = bad
+    if name == "cp":
+        i = data.draw(st.integers(0, 7))
+        value = record.cp[:i] + (bad,) + record.cp[i + 1:]
+    changed = dataclasses.replace(record, **{name: value})
+    records[index] = dataclasses.replace(records[index], model=changed) if in_model else changed
+    violations = an.validate(dataclasses.replace(DWELLING, **{group: tuple(records)}))
+    assert len(violations) == 1, violations
+    assert violations[0].startswith(f"{OWNERS[group]} '{records[index].id}': {name} must be a ")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data(), bad=NOT_NUMBERS)
+@pytest.mark.parametrize(
+    "valid", [an.BoundaryState(3.0, 90.0, 290.0), an.SolverConfig()], ids=["BoundaryState", "SolverConfig"]
+)
+def test_boundary_and_solver_config_refuse_a_value_that_is_not_a_number(valid, data, bad):
+    name = data.draw(st.sampled_from(_numeric_fields(valid)))
+    with pytest.raises(ValueError, match=f"^{name} must be an? (number|integer), got "):
+        dataclasses.replace(valid, **{name: bad})
