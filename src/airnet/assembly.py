@@ -46,13 +46,12 @@ from .links import (
     large_opening_derivative,
     large_opening_flow,
 )
-from .network import _NON_FINITE, Crack, ExternalNode, Fan, LargeOpening, Network
+from .network import _NON_FINITE, Crack, Fan, LargeOpening, Network
 from .network import _checked, _field_violations, _positive
 
 __all__ = [
     "BoundaryState",
     "ReciprocalFlowError",
-    "boundary_pressure",
     "link_flows",
     "residual",
     "jacobian",
@@ -90,20 +89,6 @@ class BoundaryState:
         # A tiny negative direction reduces to 360.0, which is north too.
         direction = self.wind_direction_deg % 360.0
         object.__setattr__(self, "wind_direction_deg", 0.0 if direction == 360.0 else direction)
-
-
-def boundary_pressure(node: ExternalNode, bc: BoundaryState) -> float:
-    """Wind pressure at an external node, 0.5 * rho_out * Cp(dir) * v**2.
-
-    Cp is linearly interpolated between the two adjacent 45-degree sector
-    centers of the node's table.
-    """
-    rho_out = air_density(bc.outdoor_temp_k)
-    sector = bc.wind_direction_deg / 45.0
-    base = int(sector) % 8
-    frac = sector - int(sector)
-    cp = node.cp[base] * (1.0 - frac) + node.cp[(base + 1) % 8] * frac
-    return 0.5 * rho_out * cp * bc.wind_speed**2
 
 
 def _orifice_k(width: float, height: float, cd: float, rho: float) -> float:
@@ -186,15 +171,14 @@ class _CompiledNetwork:
     The Picard matrix takes the Jacobian's layout and gathers from the crack
     pass's k * g: a crack's at its elevation, an opening's at its
     mid-height.  `boundary` computes what the weather sets: the offsets of
-    the ends at external nodes and the law openings' arguments (an end at an
-    external node takes the outdoor density) and, from them, their
-    mid-height k.
+    the ends at external nodes, from one array expression over each end's
+    cp row, and the law openings' arguments (an end at an external node
+    takes the outdoor density) and, from them, their mid-height k.
     """
 
     def __init__(self, net: Network):
         n = len(net.zones)
         self.n = n
-        self.externals = net.external_nodes
         zone_rho = np.array([air_density(z.temperature_k) for z in net.zones])
         self.mech = np.array([z.mech_flow_kg_s for z in net.zones], dtype=float)
 
@@ -270,7 +254,8 @@ class _CompiledNetwork:
         self.end_col = np.minimum(end_node, n)
         self.ends = 0.0 - np.append(zone_rho * GRAVITY, 0.0).take(self.end_col) * end_dz
         facade = self.facade_ends = end_node >= n
-        self.facade_node, self.facade_dz = end_node[facade] - n, end_dz[facade]
+        cp = np.array([e.cp for e in net.external_nodes], dtype=float).reshape(-1, 8)
+        self.facade_dz, self.facade_cp = end_dz[facade], cp[end_node[facade] - n]
 
         # The residual's terms are the n mechanical flows, then each link's
         # from and to terms in link order, and its bins are the zones.  The
@@ -312,9 +297,16 @@ class _CompiledNetwork:
     def boundary(self, bc: BoundaryState) -> _Boundary:
         """The boundary terms for bc."""
         rho_out = air_density(bc.outdoor_temp_k)
-        wind = np.array([boundary_pressure(e, bc) for e in self.externals])
+        # Every facade end's wind pressure 0.5 * rho_out * Cp(dir) * v**2, Cp linear
+        # between 45-degree sector centres, each operation as the scalar formula's.
+        sector = bc.wind_direction_deg / 45.0
+        base = int(sector) % 8
+        frac = sector - int(sector)
+        cp = self.facade_cp
+        cp_dir = cp[:, base] * (1.0 - frac) + cp[:, (base + 1) % 8] * frac
+        wind = 0.5 * rho_out * cp_dir * bc.wind_speed**2
         ends = self.ends.copy()
-        ends[self.facade_ends] = wind.take(self.facade_node) - (rho_out * GRAVITY) * self.facade_dz
+        ends[self.facade_ends] = wind - (rho_out * GRAVITY) * self.facade_dz
         args = [
             (w, h, cd, rho_out if rf is None else rf, rho_out if rt is None else rt)
             for w, h, cd, rf, rt in self.law_openings

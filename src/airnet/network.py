@@ -196,8 +196,17 @@ class Network:
 # validation
 
 
-# The check of each numeric annotation's type, run before those its field declares.
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# The check of each annotation's type, run before those its field declares.
 _TYPE_RULES = {
+    "str": ((_is_str, "{name} must be a string, got {}", repr),),
+    "LinkModel": (
+        (lambda v: isinstance(v, LinkModel),
+         "{name} must be a crack, a large opening or a fan, got {}", repr),
+    ),
     "float": ((_is_number, "{name} must be a number, got {}", repr),),
     "int": ((lambda v: _is_number(v, _INTEGRAL), "{name} must be an integer, got {}", repr),),
     "tuple[float, ...]": (
@@ -232,18 +241,21 @@ def validate(net: Network) -> list[str]:
     """Return every invariant violation (empty list means the network is valid).
 
     Each field of each record, a link's model included, reports the first
-    check it fails: the type its annotation names (a number, not a bool; for
-    cp a tuple of them), then the range it declares.  Only the rules that
-    span records are written here: no zones, duplicate ids, unknown or
-    self-referencing link endpoints, and reachability of every zone from an
-    external node (else its pressure is undetermined).
+    check it fails: the type its annotation names (a string; a number, not a
+    bool; for cp a tuple of numbers; a link model), then the range it
+    declares.  Only the rules that span records are written here: no zones,
+    duplicate ids, unknown or self-referencing link endpoints, and
+    reachability of every zone from an external node through cracks and
+    large openings (else its pressure is undetermined: a fan's flow does not
+    depend on it).  An id or endpoint that is not a string takes no part in
+    them.
     """
     violations: list[str] = []
     if not net.zones:
         violations.append("network has no zones")
 
     node_ids: set[str] = set()
-    for node_id in [z.id for z in net.zones] + [n.id for n in net.external_nodes]:
+    for node_id in filter(_is_str, [z.id for z in net.zones] + [n.id for n in net.external_nodes]):
         if node_id in node_ids:
             violations.append(f"duplicate node id '{node_id}'")
         node_ids.add(node_id)
@@ -253,30 +265,33 @@ def validate(net: Network) -> list[str]:
             violations += (f"{kind} '{record.id}': {v}" for v in _field_violations(record))
 
     seen_links: set[str] = set()
-    adjacency: dict[str, set[str]] = {}  # the undirected link graph
+    adjacency: dict[str, set[str]] = {}  # the undirected graph of the coupling links
     for link in net.links:
         owner = f"link '{link.id}'"
-        if link.id in seen_links:
-            violations.append(f"duplicate link id '{link.id}'")
-        seen_links.add(link.id)
-        if link.from_node == link.to_node:
-            violations.append(f"{owner}: from and to are both '{link.from_node}'")
-        for end in (link.from_node, link.to_node):
-            if end not in node_ids:
-                violations.append(f"{owner}: unknown endpoint '{end}'")
-        violations += (f"{owner}: {v}" for r in (link, link.model) for v in _field_violations(r))
-        adjacency.setdefault(link.from_node, set()).add(link.to_node)
-        adjacency.setdefault(link.to_node, set()).add(link.from_node)
+        if _is_str(link.id):
+            if link.id in seen_links:
+                violations.append(f"duplicate link id '{link.id}'")
+            seen_links.add(link.id)
+        ends = (link.from_node, link.to_node)
+        if all(map(_is_str, ends)):
+            if link.from_node == link.to_node:
+                violations.append(f"{owner}: from and to are both '{link.from_node}'")
+            violations += (f"{owner}: unknown endpoint '{end}'" for end in ends if end not in node_ids)
+            if isinstance(link.model, (Crack, LargeOpening)):
+                adjacency.setdefault(link.from_node, set()).add(link.to_node)
+                adjacency.setdefault(link.to_node, set()).add(link.from_node)
+        records = (link, link.model) if isinstance(link.model, LinkModel) else (link,)
+        violations += (f"{owner}: {v}" for r in records for v in _field_violations(r))
 
-    # Reachability: BFS over the link graph from all external nodes.
-    reached = {n.id for n in net.external_nodes}
+    # Reachability: BFS over the coupling links from all external nodes.
+    reached = set(filter(_is_str, (n.id for n in net.external_nodes)))
     frontier = list(reached)
     while frontier:
         new = adjacency.get(frontier.pop(), set()) - reached
         reached |= new
         frontier += new
     for zone in net.zones:
-        if zone.id not in reached:
+        if _is_str(zone.id) and zone.id not in reached:
             violations.append(f"unreachable zone '{zone.id}': no link path to any external node")
 
     return violations
@@ -308,8 +323,10 @@ def _record(cls, obj: dict, context: str, read: tuple[str, ...] = (), **given):
     `given`, and the keys in `read` that name no field.
 
     Every other field is read from its key, as its annotation names, and a
-    field with a default may be left out.  Any other key is an error.
+    field with a default may be left out.  Any other key, or one written
+    twice, is an error.
     """
+    _unique(obj, context)
     keys = set(read)
     for name, key, kind, required, _ in _schema(cls):
         keys.add(key)
@@ -351,13 +368,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """The JSON object of `pairs`, of which no two may share a key."""
-    keys = [key for key, _ in pairs]
-    for i, key in enumerate(keys):
-        if key in keys[:i]:
-            raise NetworkFormatError(f"key '{key}' appears twice in one object")
-    return dict(pairs)
+class _Object(dict):
+    """A JSON object, with the first key that it holds twice, if any: the
+    reader that knows its context refuses it (`_unique`)."""
+
+    repeated: str | None = None
+
+    def __init__(self, pairs: list[tuple[str, object]]):
+        super().__init__(pairs)
+        if len(self) < len(pairs):
+            keys = [key for key, _ in pairs]
+            self.repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+
+
+def _unique(obj: _Object, context: str) -> None:
+    """Refuse an object that holds one key twice: JSON would keep the last value."""
+    if obj.repeated is not None:
+        raise NetworkFormatError(f"{context}: key '{obj.repeated}' appears twice in one object")
 
 
 def parse_network(text: str) -> Network:
@@ -367,7 +394,7 @@ def parse_network(text: str) -> Network:
     """
     try:
         doc = json.loads(
-            text, object_pairs_hook=_unique_keys, parse_constant=_reject_constant,
+            text, object_pairs_hook=_Object, parse_constant=_reject_constant,
             parse_float=_finite_float, parse_int=_finite_float,
         )
     except json.JSONDecodeError as exc:
@@ -376,6 +403,7 @@ def parse_network(text: str) -> Network:
         ) from exc
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level document must be an object")
+    _unique(doc, "document")  # before its records are read
 
     net = _record(
         Network,

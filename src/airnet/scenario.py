@@ -18,7 +18,7 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -50,10 +50,17 @@ class WeatherFormatError(ValueError):
 
 @dataclass(frozen=True)
 class WeatherRecord:
+    """One weather row, whose `BoundaryState` is built and checked with it."""
+
     timestamp: str  # ISO-8601
     wind_speed: float  # m/s
     wind_dir_deg: float
     temp_out_c: float
+    boundary: BoundaryState = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bc = boundary_from_celsius(self.wind_speed, self.wind_dir_deg, self.temp_out_c)
+        object.__setattr__(self, "boundary", bc)
 
 
 @dataclass(frozen=True)
@@ -114,11 +121,11 @@ def parse_weather(text: str) -> list[WeatherRecord]:
         except ValueError:
             raise WeatherFormatError(f"line {line_no}: bad timestamp '{stamp_text}'") from None
         try:
-            record = WeatherRecord(stamp_text, *(float(v) for v in row[1:]))
+            values = [float(v) for v in row[1:]]
         except ValueError:
             raise WeatherFormatError(f"line {line_no}: non-numeric field in {row[1:]}") from None
         try:
-            boundary_from_record(record)
+            record = WeatherRecord(stamp_text, *values)
         except ValueError as exc:
             raise WeatherFormatError(f"line {line_no}: {exc}") from None
         if previous is not None:
@@ -205,6 +212,8 @@ def boundary_from_celsius(wind_speed: float, wind_dir_deg: float, temp_out_c: fl
     """The BoundaryState of weather whose outdoor temperature is given in
     degrees Celsius; one at or below absolute zero is refused in them, and
     BoundaryState refuses a non-finite one."""
+    if not _is_number(temp_out_c):  # True + 273.15 is a float
+        raise ValueError(f"temp_out_c must be a number, got {temp_out_c!r}")
     temp_k = temp_out_c + 273.15
     if -math.inf < temp_k <= 0:
         raise ValueError(f"outdoor temperature must be above -273.15 °C, got {temp_out_c} °C")
@@ -212,7 +221,7 @@ def boundary_from_celsius(wind_speed: float, wind_dir_deg: float, temp_out_c: fl
 
 
 def boundary_from_record(rec: WeatherRecord) -> BoundaryState:
-    return boundary_from_celsius(rec.wind_speed, rec.wind_dir_deg, rec.temp_out_c)
+    return rec.boundary
 
 
 def run_simulation(
@@ -235,9 +244,8 @@ def run_simulation(
     records: list[TimestepRecord] = []
     previous: np.ndarray | None = None  # None starts the solve from zeros
     for rec in weather:
-        bc = boundary_from_record(rec)
         try:
-            outcome, failed = solve(net, bc, previous, strategy, cfg), None
+            outcome, failed = solve(net, rec.boundary, previous, strategy, cfg), None
         except SolveError as exc:
             log.warning("%s %s: %s", strategy, rec.timestamp, exc)
             outcome, failed = exc.outcome, exc.reason

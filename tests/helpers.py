@@ -33,6 +33,20 @@ def oracle_cp(table, direction_deg: float) -> float:
     return float(np.interp(direction_deg % 360.0, xs, ys))
 
 
+def scalar_wind_pressure(node: an.ExternalNode, bc: an.BoundaryState) -> float:
+    """Wind pressure at an external node, 0.5 * rho_out * Cp(dir) * v**2, one
+    float operation at a time: Cp linearly interpolated between the two
+    adjacent 45-degree sector centres.  The package computes every facade
+    end's at once with the same operations, so the loop oracle, which calls
+    this for each node, must match it bit for bit."""
+    rho_out = an.air_density(bc.outdoor_temp_k)
+    sector = bc.wind_direction_deg / 45.0
+    base = int(sector) % 8
+    frac = sector - int(sector)
+    cp = node.cp[base] * (1.0 - frac) + node.cp[(base + 1) % 8] * frac
+    return 0.5 * rho_out * cp * bc.wind_speed**2
+
+
 def oracle_node_pressure(net: an.Network, bc: an.BoundaryState, node_id: str, z: float, p):
     """(pressure at elevation z, density) for either kind of node."""
     for i, zone in enumerate(net.zones):
@@ -226,7 +240,7 @@ def random_open_building(rng: np.random.Generator) -> OpenBuilding:
     bc = random_boundary(rng)
     rho_out = an.air_density(bc.outdoor_temp_k)
     # (density, reference height, pressure there) of each node placed so far
-    known = {e.id: (rho_out, e.ref_height_m, an.boundary_pressure(e, bc)) for e in externals}
+    known = {e.id: (rho_out, e.ref_height_m, scalar_wind_pressure(e, bc)) for e in externals}
     p = np.zeros(n)
     links: list[an.Link] = []
 
@@ -346,7 +360,7 @@ def loop_assembly(net: an.Network, p, bc: an.BoundaryState, dp_lin: float = DP_L
     }
     rho_out = an.air_density(bc.outdoor_temp_k)
     for node in net.external_nodes:
-        nodes[node.id] = (None, rho_out, node.ref_height_m, an.boundary_pressure(node, bc))
+        nodes[node.id] = (None, rho_out, node.ref_height_m, scalar_wind_pressure(node, bc))
 
     def end(node, z):
         """(offset, pressure) of a node at elevation z."""

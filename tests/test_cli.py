@@ -63,7 +63,7 @@ def test_check_refuses_a_key_written_twice(capsys, tmp_path):
     path.write_text(text.replace('"k": 0.008,', '"k": 5.0, "k": 0.008,', 1))
     code, out, err = run(capsys, "check", "--network", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: cannot parse {path}: key 'k' appears twice in one object\n"
+    assert err == f"error: cannot parse {path}: links[0].model: key 'k' appears twice in one object\n"
 
 
 def test_check_accepts_a_byte_order_mark(capsys, tmp_path):

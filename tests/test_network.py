@@ -143,23 +143,24 @@ def test_parse_rejects_a_key_that_names_no_field(record, context, key):
 
 
 @pytest.mark.parametrize(
-    "old, new, key",
+    "old, new, key, context",
     [
-        ('"zones": [', '"zones": [], "zones": [', "zones"),
-        ('"temperature_k": 293.15', '"temperature_k": 250.0, "temperature_k": 293.15', "temperature_k"),
-        ('"elevation_m": 1.0', '"elevation_m": 5.0, "elevation_m": 1.0', "elevation_m"),
-        ('"k": 0.01', '"k": 5.0, "k": 0.01', "k"),
+        ('"zones": [', '"zones": [], "zones": [', "zones", "document"),
+        ('"temperature_k": 293.15', '"temperature_k": 250.0, "temperature_k": 293.15', "temperature_k", "zones[0]"),
+        ('"elevation_m": 1.0', '"elevation_m": 5.0, "elevation_m": 1.0', "elevation_m", "links[0]"),
+        ('"k": 0.01', '"k": 5.0, "k": 0.01', "k", "links[0].model"),
     ],
     ids=["document", "zone", "link", "model"],
 )
-def test_parse_rejects_a_key_written_twice_in_one_object(old, new, key):
+def test_parse_rejects_a_key_written_twice_in_one_object(old, new, key, context):
     # JSON keeps the last value of a repeated key, so the first was dropped
-    # without a word, as a misspelt key once was.
+    # without a word, as a misspelt key once was.  The message names the
+    # object that holds the key.
     text = MINIMAL.replace(old, new)
     assert text.count(f'"{key}"') == 2
     with pytest.raises(an.NetworkFormatError) as err:
         an.parse_network(text)
-    assert str(err.value) == f"key '{key}' appears twice in one object"
+    assert str(err.value) == f"{context}: key '{key}' appears twice in one object"
 
 
 def test_parse_unknown_model_type():
@@ -292,13 +293,65 @@ def _replaced(group: str, index: int, model: bool = False, **changes) -> an.Netw
             "external node 'out': cp must be a tuple of numbers, got ('a', 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)",
         ),
         (_replaced("external_nodes", 0, cp=None), "external node 'out': cp must be a tuple of numbers, got None"),
+        (
+            dataclasses.replace(
+                ONE_OF_EACH, links=(an.Link("l", "out", "z1", 0.0, None), *ONE_OF_EACH.links[1:])
+            ),
+            "link 'l': model must be a crack, a large opening or a fan, got None",
+        ),
+        (_replaced("links", 0, from_node=["out"]), "link 'c1': from_node must be a string, got ['out']"),
+        (_replaced("links", 2, to_node=None), "link 'sf': to_node must be a string, got None"),
+        (_replaced("links", 1, id=["door"]), "link '['door']': id must be a string, got ['door']"),
     ],
-    ids=["bool", "str", "numpy-bool", "None", "k", "cd", "fan", "cp-entry", "cp-None"],
+    ids=[
+        "bool", "str", "numpy-bool", "None", "k", "cd", "fan", "cp-entry", "cp-None",
+        "model-None", "endpoint-list", "endpoint-None", "link-id-list",
+    ],
 )
 def test_validate_reports_a_value_of_the_wrong_type(net, message):
     # True is the number 1 to Python, so a bool passed every range check; a
-    # string or None made a check raise TypeError instead of reporting.
+    # string or None made a check raise TypeError instead of reporting, as a
+    # model that is not one or an unhashable endpoint did.  A bad endpoint
+    # takes no part in the endpoint and reachability rules: the other links
+    # still reach z1.
     assert an.validate(net) == [message]
+
+
+def test_validate_refuses_a_zone_that_only_fans_reach():
+    # A fan's flow does not depend on the pressures, so it determines none:
+    # this network used to validate, and every strategy then met a singular
+    # Jacobian at iteration 0.
+    net = an.Network(
+        zones=(an.Zone("a", 293.15, 0.0),),
+        external_nodes=(an.ExternalNode("out", 0.0, (0.0,) * 8),),
+        links=(an.Link("f", "out", "a", 0.0, an.Fan(0.01)),),
+    )
+    assert an.validate(net) == ["unreachable zone 'a': no link path to any external node"]
+    with pytest.raises(an.SingularJacobianError):
+        an.solve(net, an.BoundaryState(3.0, 0.0, 283.0), None, "nr", an.SolverConfig())
+
+
+def test_validate_refuses_a_group_of_zones_that_only_fans_reach():
+    # a and b are joined by a crack and a door, but only fans join them to
+    # the outside or to c, which a crack holds to the facade.
+    net = an.Network(
+        zones=(an.Zone("a", 293.15, 0.0), an.Zone("b", 295.0, 0.0), an.Zone("c", 293.15, 0.0)),
+        external_nodes=(an.ExternalNode("out", 0.0, (0.0,) * 8),),
+        links=(
+            an.Link("ab", "a", "b", 0.5, an.Crack(0.01, 0.65)),
+            an.Link("door", "b", "a", 0.0, an.LargeOpening(0.8, 2.0)),
+            an.Link("fa", "out", "a", 1.0, an.Fan(0.01)),
+            an.Link("fb", "b", "c", 1.0, an.Fan(0.02)),
+            an.Link("cc", "out", "c", 0.5, an.Crack(0.01, 0.65)),
+        ),
+    )
+    assert an.validate(net) == [
+        "unreachable zone 'a': no link path to any external node",
+        "unreachable zone 'b': no link path to any external node",
+    ]
+    # A door, as a crack, joins a zone to its neighbour's pressure.
+    door = dataclasses.replace(net.links[1], from_node="c")
+    assert an.validate(dataclasses.replace(net, links=net.links[:1] + (door,) + net.links[2:])) == []
 
 
 def test_validate_reports_only_the_first_failed_check_of_a_field():

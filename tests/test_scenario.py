@@ -1,11 +1,15 @@
 """Weather ingestion, simulation driver, and summaries."""
 
+import dataclasses
 import logging
+import math
+import pickle
 
 import numpy as np
 import pytest
 
 import airnet as an
+from airnet import scenario
 from airnet.scenario import (
     TimestepRecord,
     WeatherRecord,
@@ -164,6 +168,61 @@ def test_generate_weather_takes_one_step_a_series_long():
 def test_boundary_from_record_converts_celsius():
     bc = boundary_from_record(WeatherRecord("2024-01-01T00:00:00", 2.0, 90.0, 20.0))
     assert bc.outdoor_temp_k == pytest.approx(293.15)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((math.nan, 0.0, 20.0), "non-finite wind_speed: nan"),
+        ((-1.0, 0.0, 20.0), "wind speed must be >= 0, got -1.0"),
+        ((1.0, math.inf, 20.0), "non-finite wind_direction_deg: inf"),
+        ((1.0, 0.0, -300.0), "outdoor temperature must be above -273.15 °C, got -300.0 °C"),
+        ((1.0, 0.0, True), "temp_out_c must be a number, got True"),
+        ((1.0, 0.0, "20"), "temp_out_c must be a number, got '20'"),
+    ],
+    ids=["nan-wind", "negative-wind", "inf-direction", "below-absolute-zero", "bool-temp", "str-temp"],
+)
+def test_a_weather_record_with_a_bad_value_cannot_be_built(fields, message):
+    # A record built by hand used to raise only when run_simulation reached
+    # it; a bool temperature in Celsius passed as 274.15 K, and a string one
+    # raised TypeError.
+    with pytest.raises(ValueError) as err:
+        WeatherRecord("t", *fields)
+    assert str(err.value) == message
+
+
+def test_a_weather_record_carries_its_boundary():
+    rec = WeatherRecord("t", 2.0, 405.0, 20.0)
+    assert rec.boundary == scenario.boundary_from_celsius(2.0, 405.0, 20.0)
+    assert rec.boundary.wind_direction_deg == 45.0
+    assert boundary_from_record(rec) is rec.boundary
+    assert dataclasses.replace(rec, wind_speed=3.0).boundary.wind_speed == 3.0
+    assert pickle.loads(pickle.dumps(rec)).boundary == rec.boundary
+    assert repr(rec) == "WeatherRecord(timestamp='t', wind_speed=2.0, wind_dir_deg=405.0, temp_out_c=20.0)"
+
+
+def test_weather_records_compare_and_hash_by_their_fields_alone():
+    one, two = WeatherRecord("t", 2.0, 90.0, 20.0), WeatherRecord("t", 2.0, 90.0, 20.0)
+    object.__setattr__(two, "boundary", an.BoundaryState(9.0, 0.0, 250.0))
+    assert one == two
+    assert hash(one) == hash(two)
+    assert one != WeatherRecord("t", 2.0, 90.0, 21.0)
+
+
+def test_run_simulation_builds_no_boundary_state(monkeypatch):
+    # Each record built its BoundaryState once; a step takes it as it is.
+    net = an.load_network(an.bundled_example_path("dwelling5"))
+    weather = an.generate_weather(days=1, step_minutes=240, seed=3)
+    expected = an.run_simulation(net, weather, "WM")
+
+    def refuse(*args):
+        raise AssertionError("a BoundaryState was built during the run")
+
+    monkeypatch.setattr(scenario, "boundary_from_celsius", refuse)
+    monkeypatch.setattr(an.BoundaryState, "__post_init__", refuse)
+    records = an.run_simulation(net, weather, "WM")
+    assert records == expected
+    assert all(rec.failed is None for rec in records)
 
 
 # ---------------------------------------------------------------------------
