@@ -8,7 +8,6 @@ strategies: fixed-relaxation Newton (NR), Walton-style adaptive relaxation
 
 # Each module's __all__ is its share of the package's public names.
 from .assembly import *
-from .linalg import *
 from .links import *
 from .network import *
 from .scenario import *

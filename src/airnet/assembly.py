@@ -51,11 +51,9 @@ from .network import _checked, _field_violations, _positive
 
 __all__ = [
     "BoundaryState",
-    "ReciprocalFlowError",
     "link_flows",
     "residual",
     "jacobian",
-    "picard_system",
 ]
 
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-__all__ = ["SolveReport", "lu_solve"]
+__all__: list[str] = []  # lu_solve and max_abs serve the solvers; the package exports neither
 
 # A pivot smaller than this fraction of the largest initial entry flags the
 # matrix as singular; cheap and deterministic, which is all the fixed-point

@@ -31,11 +31,7 @@ __all__ = [
     "DP_LIN_DEFAULT",
     "TwoWayFlow",
     "air_density",
-    "crack_flow",
-    "crack_derivative",
-    "crack_conductance",
     "large_opening_flow",
-    "large_opening_derivative",
 ]
 
 GRAVITY = 9.81  # m/s2

@@ -60,7 +60,6 @@ __all__ = [
     "Crack",
     "LargeOpening",
     "Fan",
-    "LinkModel",
     "Link",
     "Network",
     "NetworkFormatError",
@@ -237,6 +236,23 @@ def _field_violations(record) -> Iterator[str]:
                 break
 
 
+def _entries(net: Network, name: str, cls, violations: list[str]) -> list:
+    """The `cls` records in the network's field `name`; each other entry, or
+    a field that is not a tuple, is added to `violations`."""
+    entries = getattr(net, name)
+    if not isinstance(entries, tuple):
+        violations.append(f"{name}: must be a tuple, got {entries!r}")
+        return []
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    records = []
+    for i, entry in enumerate(entries):
+        if isinstance(entry, cls):
+            records.append(entry)
+        else:
+            violations.append(f"{name}[{i}]: must be {article} {cls.__name__}, got {entry!r}")
+    return records
+
+
 def validate(net: Network) -> list[str]:
     """Return every invariant violation (empty list means the network is valid).
 
@@ -248,25 +264,29 @@ def validate(net: Network) -> list[str]:
     reachability of every zone from an external node through cracks and
     large openings (else its pressure is undetermined: a fan's flow does not
     depend on it).  An id or endpoint that is not a string takes no part in
-    them.
+    them, nor does an entry of `zones`, `external_nodes` or `links` that is
+    not a record of its kind: it is one violation, named by field and index.
     """
     violations: list[str] = []
-    if not net.zones:
+    if isinstance(net.zones, tuple) and not net.zones:
         violations.append("network has no zones")
+    zones = _entries(net, "zones", Zone, violations)
+    nodes = _entries(net, "external_nodes", ExternalNode, violations)
+    links = _entries(net, "links", Link, violations)
 
     node_ids: set[str] = set()
-    for node_id in filter(_is_str, [z.id for z in net.zones] + [n.id for n in net.external_nodes]):
+    for node_id in filter(_is_str, [z.id for z in zones] + [n.id for n in nodes]):
         if node_id in node_ids:
             violations.append(f"duplicate node id '{node_id}'")
         node_ids.add(node_id)
 
-    for kind, records in (("zone", net.zones), ("external node", net.external_nodes)):
+    for kind, records in (("zone", zones), ("external node", nodes)):
         for record in records:
             violations += (f"{kind} '{record.id}': {v}" for v in _field_violations(record))
 
     seen_links: set[str] = set()
     adjacency: dict[str, set[str]] = {}  # the undirected graph of the coupling links
-    for link in net.links:
+    for link in links:
         owner = f"link '{link.id}'"
         if _is_str(link.id):
             if link.id in seen_links:
@@ -284,13 +304,13 @@ def validate(net: Network) -> list[str]:
         violations += (f"{owner}: {v}" for r in records for v in _field_violations(r))
 
     # Reachability: BFS over the coupling links from all external nodes.
-    reached = set(filter(_is_str, (n.id for n in net.external_nodes)))
+    reached = set(filter(_is_str, (n.id for n in nodes)))
     frontier = list(reached)
     while frontier:
         new = adjacency.get(frontier.pop(), set()) - reached
         reached |= new
         frontier += new
-    for zone in net.zones:
+    for zone in zones:
         if _is_str(zone.id) and zone.id not in reached:
             violations.append(f"unreachable zone '{zone.id}': no link path to any external node")
 

@@ -59,6 +59,8 @@ class WeatherRecord:
     boundary: BoundaryState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.timestamp, str):  # the network records' `str` rule
+            raise ValueError(f"timestamp must be a string, got {self.timestamp!r}")
         bc = boundary_from_celsius(self.wind_speed, self.wind_dir_deg, self.temp_out_c)
         object.__setattr__(self, "boundary", bc)
 

@@ -33,13 +33,10 @@ __all__ = [
     "STRATEGIES",
     "SolverConfig",
     "SolveOutcome",
-    "PicardResult",
     "SolveError",
     "NonConvergenceError",
     "SingularJacobianError",
     "solve",
-    "picard_init",
-    "walton_relaxation",
 ]
 
 STRATEGIES = ("NR", "WM", "PNR", "PWM")
@@ -244,10 +241,11 @@ def solve(
     SolveOutcome; when Newton exhausts its budget or meets a singular
     Jacobian, raises NonConvergenceError or SingularJacobianError carrying
     the SolveOutcome it reached, Picard accounting included.  A p0 with a
-    NaN or infinite entry raises ValueError.
+    NaN or infinite entry raises ValueError, as does a strategy that is not
+    one of STRATEGIES (in any case), a non-string included.
     """
     cfg = cfg or SolverConfig()
-    name = strategy.upper()
+    name = strategy.upper() if isinstance(strategy, str) else strategy
     if name not in STRATEGIES:
         raise ValueError(f"unknown strategy '{strategy}' (expected one of {STRATEGIES})")
     p0 = np.zeros(len(net.zones)) if p0 is None else p0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import airnet as an
+from airnet.solvers import picard_init
 from helpers import (
     oracle_link_dp,
     oracle_opening_quadrature,
@@ -189,7 +190,7 @@ def test_criterion_7_picard_mechanics():
     p_star = np.array([20.0 / 3.0, 10.0 / 3.0])
     for k in (1, 2, 3):
         cfg = an.SolverConfig(tolerance=1e-15, picard_iters=k)
-        result = an.picard_init(chain, bc, np.zeros(2), cfg)
+        result = picard_init(chain, bc, np.zeros(2), cfg)
         assert np.allclose(result.pressures, p_star * (1 - 0.5**k), atol=1e-9)
 
     # (b) truncation: storm boundary (facade at 200 Pa), every update <= 60 Pa
@@ -197,7 +198,7 @@ def test_criterion_7_picard_mechanics():
     previous = np.zeros(2)
     for k in range(1, 7):
         cfg = an.SolverConfig(tolerance=1e-15, picard_iters=k)
-        result = an.picard_init(chain, storm, np.zeros(2), cfg)
+        result = picard_init(chain, storm, np.zeros(2), cfg)
         assert np.all(np.abs(result.pressures - previous) <= 60.0 + 1e-9)
         previous = result.pressures
 
@@ -218,7 +219,7 @@ def test_criterion_7_picard_mechanics():
         links=(an.Link("c", "out", "a", 0.0, an.Crack(0.01, 0.6)),),
     )
     orphan_bc = an.BoundaryState(5.0, 0.0, 290.0)
-    result = an.picard_init(orphan, orphan_bc, np.zeros(2), an.SolverConfig())
+    result = picard_init(orphan, orphan_bc, np.zeros(2), an.SolverConfig())
     assert result.aborted == "singular"
     with pytest.raises(an.SingularJacobianError):
         an.solve(orphan, orphan_bc, None, "PNR", an.SolverConfig())

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import airnet as an
+from airnet.assembly import ReciprocalFlowError, picard_system
+from airnet.linalg import lu_solve
 from airnet.scenario import boundary_from_record
 from helpers import (
     hex_fields,
@@ -349,7 +351,7 @@ def test_jacobian_matches_finite_difference():
 def picard_step(net, p, bc):
     """The undamped Picard update at p, -A(p)^-1 F(p), or None where the
     secant matrix is singular."""
-    report = an.lu_solve(an.picard_system(net, p, bc), an.residual(net, p, bc))
+    report = lu_solve(picard_system(net, p, bc), an.residual(net, p, bc))
     return None if report.singular else -report.solution
 
 
@@ -365,7 +367,7 @@ def test_picard_system_linear_network_solves_in_one_step():
     )
     bc = an.BoundaryState(5.0, 0.0, 282.44)  # hi facade at 10 Pa
     p0 = np.zeros(2)
-    matrix = an.picard_system(net, p0, bc)
+    matrix = picard_system(net, p0, bc)
     jac = an.jacobian(net, p0, bc)
     assert np.allclose(matrix, jac, rtol=1e-12)  # n = 1: same pattern
     solution = p0 + picard_step(net, p0, bc)
@@ -377,7 +379,7 @@ def test_picard_system_single_zone_fixed_point():
     net = single_zone_two_cracks(k=0.01, n=0.5)
     bc = an.BoundaryState(5.0, 0.0, 282.44)
     p = np.array([5.0])
-    matrix = an.picard_system(net, p, bc)
+    matrix = picard_system(net, p, bc)
     conductance = 0.01 * 5.0 ** (-0.5)
     assert matrix[0, 0] == pytest.approx(-2 * conductance, rel=1e-9)
     assert (p + picard_step(net, p, bc))[0] == pytest.approx(5.0, rel=1e-9)
@@ -390,7 +392,7 @@ def test_picard_system_isolated_zone_singular_row():
         links=(an.Link("c", "out", "a", 0.0, an.Crack(0.01, 0.6)),),
     )
     bc = an.BoundaryState(2.0, 0.0, 290.0)
-    matrix = an.picard_system(net, np.zeros(2), bc)
+    matrix = picard_system(net, np.zeros(2), bc)
     assert np.allclose(matrix[1], 0.0)
     assert picard_step(net, np.zeros(2), bc) is None
 
@@ -398,18 +400,18 @@ def test_picard_system_isolated_zone_singular_row():
 def test_picard_system_reciprocal_flow_raises():
     net = an.load_network(an.bundled_example_path("iea_door"))
     bc = an.BoundaryState(0.0, 0.0, 293.0)
-    with pytest.raises(an.ReciprocalFlowError) as err:
-        an.picard_system(net, np.zeros(2), bc)
+    with pytest.raises(ReciprocalFlowError) as err:
+        picard_system(net, np.zeros(2), bc)
     assert err.value.link_id == "door"
     assert str(err.value) == "link 'door' carries reciprocal (two-way) flow"
 
 
 def test_reciprocal_flow_error_survives_pickle_and_copy():
     # BaseException would re-create it from its message, taken for a link id.
-    err = an.ReciprocalFlowError("door")
+    err = ReciprocalFlowError("door")
     err.step = 17  # a caller's own attribute rides along
     for again in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
-        assert type(again) is an.ReciprocalFlowError
+        assert type(again) is ReciprocalFlowError
         assert again.link_id == "door"
         assert str(again) == str(err) and again.args == err.args
         assert again.step == 17
@@ -435,7 +437,7 @@ def test_picard_fixed_point_matches_newton_root():
             solution = an.solve(net, bc, None, "WM", cfg).pressures
             try:
                 step = picard_step(net, solution, bc)
-            except an.ReciprocalFlowError:
+            except ReciprocalFlowError:
                 continue
             assert np.max(np.abs(step)) <= 1e-9, (i, bc)
             checked += 1
@@ -562,8 +564,8 @@ def assembled(net, p, bc):
     """Every assembly output at one state, as bytes, for exact comparison."""
     out = [an.residual(net, p, bc).tobytes(), an.jacobian(net, p, bc).tobytes()]
     try:
-        out.append(an.picard_system(net, p, bc).tobytes())
-    except an.ReciprocalFlowError as err:
+        out.append(picard_system(net, p, bc).tobytes())
+    except ReciprocalFlowError as err:
         out.append(err.link_id)
     out.append(list(an.link_flows(net, p, bc).values()))
     return out
@@ -573,7 +575,7 @@ def evaluated(assemble, net, p, bc, dp_lin=an.DP_LIN_DEFAULT):
     """One assembly output at one state, comparable bit for bit."""
     try:
         out = assemble(net, p, bc, dp_lin)
-    except an.ReciprocalFlowError as err:
+    except ReciprocalFlowError as err:
         return err.link_id
     if isinstance(out, dict):
         return list(out.items())
@@ -616,7 +618,7 @@ def test_compiled_form_is_reused_without_going_stale():
         for bc in boundaries:
             copy = an.BoundaryState(bc.wind_speed, bc.wind_direction_deg, bc.outdoor_temp_k)
             for scale in (1.0, 1e-4):
-                for assemble in (an.jacobian, an.picard_system, an.link_flows):
+                for assemble in (an.jacobian, picard_system, an.link_flows):
                     p = rng.uniform(-5, 5, len(net.zones)) * scale
                     an.residual(net, p, bc)
                     p[0] += scale
@@ -636,7 +638,7 @@ def test_compiled_form_is_reused_without_going_stale():
         ones = np.zeros(len(net.zones), dtype=np.int64)
         ones[0] = 1
         assert ones.tobytes() == tiny.tobytes()
-        for assemble in (an.residual, an.jacobian, an.picard_system, an.link_flows):
+        for assemble in (an.residual, an.jacobian, picard_system, an.link_flows):
             an.residual(net, tiny, boundaries[0])
             ours = evaluated(assemble, net, ones, boundaries[0])
             assert ours == evaluated(assemble, build(), ones.astype(float), boundaries[0])
@@ -707,7 +709,7 @@ def test_pressure_vector_must_have_one_entry_per_zone():
     net = mixed_network()
     bc = an.BoundaryState(2.0, 0.0, 290.0)
     for p in (np.zeros(2), np.zeros(4)):
-        for assemble in (an.residual, an.jacobian, an.picard_system, an.link_flows):
+        for assemble in (an.residual, an.jacobian, picard_system, an.link_flows):
             with pytest.raises(ValueError, match=f"^{len(p)} pressures given for 3 zones$"):
                 assemble(net, p, bc)
 
@@ -734,7 +736,7 @@ def test_pressures_of_another_shape_are_refused_at_the_kept_point(shape):
     bc = an.BoundaryState(2.0, 0.0, 290.0)
     p = np.array([1.0, -2.0, 0.5])
     message = "^" + re.escape(f"pressures of shape {shape} given for 3 zones") + "$"
-    for assemble in (an.residual, an.jacobian, an.picard_system, an.link_flows):
+    for assemble in (an.residual, an.jacobian, picard_system, an.link_flows):
         an.residual(net, p, bc)
         with pytest.raises(ValueError, match=message):
             assemble(net, p.reshape(shape), bc)
@@ -893,5 +895,5 @@ def test_boundary_terms_match_the_link_loop_at_sector_edges(direction):
         loop = loop_assembly(net, p, bc)
         assert an.residual(net, p, bc).tobytes() == loop.residual.tobytes()
         picard = loop.picard if isinstance(loop.picard, str) else loop.picard[0].tobytes()
-        assert evaluated(an.picard_system, net, p, bc) == picard
+        assert evaluated(picard_system, net, p, bc) == picard
         assert an.link_flows(net, p, bc) == loop.flows

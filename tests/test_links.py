@@ -8,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import airnet as an
-from airnet.links import DP_LIN_DEFAULT
+from airnet.assembly import picard_system
+from airnet.links import (
+    DP_LIN_DEFAULT,
+    crack_conductance,
+    crack_derivative,
+    crack_flow,
+    large_opening_derivative,
+)
 from helpers import oracle_opening_quadrature, reference_large_opening_derivative
 
 # Independent ideal-gas oracle: 101325 Pa, M = 0.028966 kg/mol, R = 8.314.
@@ -42,24 +49,24 @@ def test_air_density_domain_error():
 
 
 def test_crack_flow_values():
-    assert an.crack_flow(1.0, 0.65, 1.0) == pytest.approx(1.0)
-    assert an.crack_flow(0.01, 0.5, 4.0) == pytest.approx(0.02)
-    assert an.crack_flow(0.01, 0.5, -4.0) == pytest.approx(-0.02)
-    assert an.crack_flow(1.0, 0.65, 0.0) == 0.0
+    assert crack_flow(1.0, 0.65, 1.0) == pytest.approx(1.0)
+    assert crack_flow(0.01, 0.5, 4.0) == pytest.approx(0.02)
+    assert crack_flow(0.01, 0.5, -4.0) == pytest.approx(-0.02)
+    assert crack_flow(1.0, 0.65, 0.0) == 0.0
 
 
 def test_crack_derivative_values():
-    assert an.crack_derivative(0.01, 0.5, 4.0) == pytest.approx(0.0025)
-    assert an.crack_derivative(1.0, 0.65, 0.0) == pytest.approx(DP_LIN_DEFAULT ** (-0.35))
+    assert crack_derivative(0.01, 0.5, 4.0) == pytest.approx(0.0025)
+    assert crack_derivative(1.0, 0.65, 0.0) == pytest.approx(DP_LIN_DEFAULT ** (-0.35))
 
 
 def test_crack_conductance_values():
-    g = an.crack_conductance(0.01, 0.5, 4.0)
+    g = crack_conductance(0.01, 0.5, 4.0)
     assert g == pytest.approx(0.005)
-    assert g * 4.0 == pytest.approx(an.crack_flow(0.01, 0.5, 4.0))
-    assert an.crack_conductance(1.0, 1.0, 17.3) == pytest.approx(1.0)
-    assert an.crack_conductance(1.0, 1.0, 0.0) == pytest.approx(1.0)
-    assert an.crack_conductance(1.0, 0.65, 0.0) == pytest.approx(DP_LIN_DEFAULT ** (-0.35))
+    assert g * 4.0 == pytest.approx(crack_flow(0.01, 0.5, 4.0))
+    assert crack_conductance(1.0, 1.0, 17.3) == pytest.approx(1.0)
+    assert crack_conductance(1.0, 1.0, 0.0) == pytest.approx(1.0)
+    assert crack_conductance(1.0, 0.65, 0.0) == pytest.approx(DP_LIN_DEFAULT ** (-0.35))
 
 
 @given(
@@ -68,7 +75,7 @@ def test_crack_conductance_values():
     dp=st.floats(-100.0, 100.0),
 )
 def test_crack_flow_is_odd(k, n, dp):
-    assert an.crack_flow(k, n, -dp) == pytest.approx(-an.crack_flow(k, n, dp), rel=1e-12)
+    assert crack_flow(k, n, -dp) == pytest.approx(-crack_flow(k, n, dp), rel=1e-12)
 
 
 @given(
@@ -78,15 +85,15 @@ def test_crack_flow_is_odd(k, n, dp):
     bump=st.floats(1e-6, 10.0),
 )
 def test_crack_flow_is_monotone(k, n, dp_low, bump):
-    assert an.crack_flow(k, n, dp_low + bump) > an.crack_flow(k, n, dp_low)
+    assert crack_flow(k, n, dp_low + bump) > crack_flow(k, n, dp_low)
 
 
 @given(k=st.floats(1e-4, 1.0), n=st.floats(0.5, 1.0))
 def test_crack_flow_continuous_at_breakpoint(k, n):
     eps = 1e-12
-    at = an.crack_flow(k, n, DP_LIN_DEFAULT)
-    assert an.crack_flow(k, n, DP_LIN_DEFAULT - eps) == pytest.approx(at, rel=1e-6)
-    assert an.crack_flow(k, n, DP_LIN_DEFAULT + eps) == pytest.approx(at, rel=1e-6)
+    at = crack_flow(k, n, DP_LIN_DEFAULT)
+    assert crack_flow(k, n, DP_LIN_DEFAULT - eps) == pytest.approx(at, rel=1e-6)
+    assert crack_flow(k, n, DP_LIN_DEFAULT + eps) == pytest.approx(at, rel=1e-6)
 
 
 @given(
@@ -96,8 +103,8 @@ def test_crack_flow_continuous_at_breakpoint(k, n):
 )
 def test_crack_conductance_identity(k, n, dp):
     # G * dp reproduces the flow exactly, in both regions.
-    assert an.crack_conductance(k, n, dp) * dp == pytest.approx(
-        an.crack_flow(k, n, dp), rel=1e-12, abs=1e-15
+    assert crack_conductance(k, n, dp) * dp == pytest.approx(
+        crack_flow(k, n, dp), rel=1e-12, abs=1e-15
     )
 
 
@@ -113,9 +120,9 @@ def test_crack_derivative_matches_finite_difference():
         h = max(1e-7, 1e-7 * abs(dp))
         if abs(dp) > DP_LIN_DEFAULT and abs(dp) - h < DP_LIN_DEFAULT:
             continue
-        fd = (an.crack_flow(k, n, dp + h) - an.crack_flow(k, n, dp - h)) / (2 * h)
-        assert an.crack_derivative(k, n, dp) == pytest.approx(fd, rel=1e-5)
-        assert an.crack_derivative(k, n, dp) > 0
+        fd = (crack_flow(k, n, dp + h) - crack_flow(k, n, dp - h)) / (2 * h)
+        assert crack_derivative(k, n, dp) == pytest.approx(fd, rel=1e-5)
+        assert crack_derivative(k, n, dp) > 0
         checked += 1
 
 
@@ -132,7 +139,7 @@ def crack_star(k, n) -> an.Network:
     return an.Network(zones=zones, external_nodes=(out,), links=links)
 
 
-@pytest.mark.parametrize("law", [an.crack_flow, an.crack_derivative, an.crack_conductance])
+@pytest.mark.parametrize("law", [crack_flow, crack_derivative, crack_conductance])
 def test_crack_laws_on_arrays_match_the_float_form_exactly(law):
     # The compiled network evaluates every crack at once, in arrays; each
     # value the residual, the Jacobian, the Picard system and the link flows
@@ -153,12 +160,12 @@ def test_crack_laws_on_arrays_match_the_float_form_exactly(law):
         p = 0.0 - dp
         dp = (0.0 - p).tolist()
         assembled = {
-            an.crack_flow: [
+            crack_flow: [
                 an.residual(net, p, bc, dp_lin),
                 [flow.net for flow in an.link_flows(net, p, bc, dp_lin).values()],
             ],
-            an.crack_derivative: [-np.diag(an.jacobian(net, p, bc, dp_lin))],
-            an.crack_conductance: [-np.diag(an.picard_system(net, p, bc, dp_lin))],
+            crack_derivative: [-np.diag(an.jacobian(net, p, bc, dp_lin))],
+            crack_conductance: [-np.diag(picard_system(net, p, bc, dp_lin))],
         }
         expected = [law(*args, dp_lin) for args in zip(k, n, dp)]
         for values in assembled[law]:
@@ -210,19 +217,19 @@ def test_opening_mid_height_conductance_matches_the_float_form_at_the_band_edges
         p = np.zeros(len(zones))
         p[0 : 3 * m : 3], p[2 : 3 * m : 3] = edges, edges  # zones a_i and c_i
         p[3 * m :: 2] = [edges[i] for i in warmer]  # zones d_i
-        conductances = -np.diag(an.picard_system(net, p, bc, dp_lin))
+        conductances = -np.diag(picard_system(net, p, bc, dp_lin))
         for i, dp_mid in enumerate(edges):
             k = cd[i] * width[i] * height[i]
             rho = an.air_density(pair_t[i])
-            pair = an.crack_conductance(k * math.sqrt(2.0 * (0.5 * (rho + rho))), 0.5, dp_mid, dp_lin)
+            pair = crack_conductance(k * math.sqrt(2.0 * (0.5 * (rho + rho))), 0.5, dp_mid, dp_lin)
             rho_mean = 0.5 * (an.air_density(zone_t) + rho_out)
-            facade = an.crack_conductance(k * math.sqrt(2.0 * rho_mean), 0.5, dp_mid, dp_lin)
+            facade = crack_conductance(k * math.sqrt(2.0 * rho_mean), 0.5, dp_mid, dp_lin)
             expected = [pair, pair, facade]  # zones a_i, b_i, c_i
             assert conductances[3 * i : 3 * i + 3].tolist() == expected
         for j, i in enumerate(warmer):
             k = cd[i] * width[i] * height[i]
             rho_mean = 0.5 * (an.air_density(pair_t[i]) + an.air_density(pair_t[i] + 1e-3))
-            warm = an.crack_conductance(k * math.sqrt(2.0 * rho_mean), 0.5, edges[i], dp_lin)
+            warm = crack_conductance(k * math.sqrt(2.0 * rho_mean), 0.5, edges[i], dp_lin)
             assert conductances[3 * m + 2 * j : 3 * m + 2 * j + 2].tolist() == [warm, warm]
 
 
@@ -311,14 +318,14 @@ def test_opening_balanced_stack_coefficient():
 
 def test_opening_derivative_equal_density_value():
     # d/d(dp) of cd*W*H*sqrt(2 rho dp) at dp = 4.
-    d = an.large_opening_derivative(1.0, 1.0, 0.6, 1.2, 1.2, 4.0)
+    d = large_opening_derivative(1.0, 1.0, 0.6, 1.2, 1.2, 4.0)
     assert d == pytest.approx(0.6 * math.sqrt(2 * 1.2) / (2 * math.sqrt(4.0)), rel=1e-9)
     assert d == pytest.approx(0.23238, abs=1e-5)
 
 
 def test_opening_derivative_floor_is_finite():
     k_eq = 0.6 * 1.0 * 1.0 * math.sqrt(2 * 1.2)
-    d = an.large_opening_derivative(1.0, 1.0, 0.6, 1.2, 1.2, 0.0)
+    d = large_opening_derivative(1.0, 1.0, 0.6, 1.2, 1.2, 0.0)
     assert d == pytest.approx(k_eq * DP_LIN_DEFAULT ** (-0.5))
     assert math.isfinite(d)
 
@@ -343,7 +350,7 @@ def test_opening_derivative_matches_finite_difference():
         up = an.large_opening_flow(w, h, cd, rho_f, rho_t, dp + step).net
         down = an.large_opening_flow(w, h, cd, rho_f, rho_t, dp - step).net
         fd = (up - down) / (2 * step)
-        analytic = an.large_opening_derivative(w, h, cd, rho_f, rho_t, dp)
+        analytic = large_opening_derivative(w, h, cd, rho_f, rho_t, dp)
         assert analytic == pytest.approx(fd, rel=1e-5)
         assert analytic > 0
         checked += 1

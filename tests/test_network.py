@@ -302,10 +302,22 @@ def _replaced(group: str, index: int, model: bool = False, **changes) -> an.Netw
         (_replaced("links", 0, from_node=["out"]), "link 'c1': from_node must be a string, got ['out']"),
         (_replaced("links", 2, to_node=None), "link 'sf': to_node must be a string, got None"),
         (_replaced("links", 1, id=["door"]), "link '['door']': id must be a string, got ['door']"),
+        (an.Network((None,)), "zones[0]: must be a Zone, got None"),
+        (an.Network(None), "zones: must be a tuple, got None"),
+        (
+            dataclasses.replace(ONE_OF_EACH, external_nodes=(*ONE_OF_EACH.external_nodes, None)),
+            "external_nodes[1]: must be an ExternalNode, got None",
+        ),
+        (dataclasses.replace(ONE_OF_EACH, links=(None, *ONE_OF_EACH.links)), "links[0]: must be a Link, got None"),
+        (
+            dataclasses.replace(ONE_OF_EACH, external_nodes=(*ONE_OF_EACH.external_nodes, ONE_OF_EACH.zones[0])),
+            f"external_nodes[1]: must be an ExternalNode, got {ONE_OF_EACH.zones[0]!r}",
+        ),
     ],
     ids=[
         "bool", "str", "numpy-bool", "None", "k", "cd", "fan", "cp-entry", "cp-None",
         "model-None", "endpoint-list", "endpoint-None", "link-id-list",
+        "zone-entry-None", "zones-None", "external-node-entry-None", "link-entry-None", "zone-as-external-node",
     ],
 )
 def test_validate_reports_a_value_of_the_wrong_type(net, message):
@@ -313,7 +325,10 @@ def test_validate_reports_a_value_of_the_wrong_type(net, message):
     # string or None made a check raise TypeError instead of reporting, as a
     # model that is not one or an unhashable endpoint did.  A bad endpoint
     # takes no part in the endpoint and reachability rules: the other links
-    # still reach z1.
+    # still reach z1.  An entry that is not a record raised AttributeError,
+    # and zones=None a TypeError; such an entry takes no part in the other
+    # rules either: a zone listed as an external node makes no duplicate id,
+    # and a network whose one zone entry is None is not reported as zoneless.
     assert an.validate(net) == [message]
 
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import airnet as an
+from airnet.solvers import walton_relaxation
 from helpers import (
     loop_assembly,
     matches_the_loop,
@@ -179,7 +180,7 @@ def test_walton_relaxation_matches_the_masked_divide(correction, relations, fres
     ])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division by zero, even where unused
-        omega = an.walton_relaxation(c, prev)
+        omega = walton_relaxation(c, prev)
     assert omega.tobytes() == reference_walton_relaxation(c, prev).tobytes()
 
 

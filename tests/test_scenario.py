@@ -17,6 +17,7 @@ from airnet.scenario import (
     serialize_weather,
     write_timestep_csv,
 )
+from airnet.solvers import picard_init
 
 TWO_ROWS = """timestamp,wind_speed_m_s,wind_dir_deg,temp_out_c
 2024-01-01T00:00:00,3.2,105.0,23.4
@@ -173,21 +174,27 @@ def test_boundary_from_record_converts_celsius():
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ((math.nan, 0.0, 20.0), "non-finite wind_speed: nan"),
-        ((-1.0, 0.0, 20.0), "wind speed must be >= 0, got -1.0"),
-        ((1.0, math.inf, 20.0), "non-finite wind_direction_deg: inf"),
-        ((1.0, 0.0, -300.0), "outdoor temperature must be above -273.15 °C, got -300.0 °C"),
-        ((1.0, 0.0, True), "temp_out_c must be a number, got True"),
-        ((1.0, 0.0, "20"), "temp_out_c must be a number, got '20'"),
+        (("t", math.nan, 0.0, 20.0), "non-finite wind_speed: nan"),
+        (("t", -1.0, 0.0, 20.0), "wind speed must be >= 0, got -1.0"),
+        (("t", 1.0, math.inf, 20.0), "non-finite wind_direction_deg: inf"),
+        (("t", 1.0, 0.0, -300.0), "outdoor temperature must be above -273.15 °C, got -300.0 °C"),
+        (("t", 1.0, 0.0, True), "temp_out_c must be a number, got True"),
+        (("t", 1.0, 0.0, "20"), "temp_out_c must be a number, got '20'"),
+        ((None, 1.0, 0.0, 20.0), "timestamp must be a string, got None"),
+        ((5, 1.0, 0.0, 20.0), "timestamp must be a string, got 5"),
     ],
-    ids=["nan-wind", "negative-wind", "inf-direction", "below-absolute-zero", "bool-temp", "str-temp"],
+    ids=[
+        "nan-wind", "negative-wind", "inf-direction", "below-absolute-zero", "bool-temp", "str-temp",
+        "None-timestamp", "int-timestamp",
+    ],
 )
 def test_a_weather_record_with_a_bad_value_cannot_be_built(fields, message):
     # A record built by hand used to raise only when run_simulation reached
     # it; a bool temperature in Celsius passed as 274.15 K, and a string one
-    # raised TypeError.
+    # raised TypeError.  A timestamp that is not a string was solved and
+    # written to the timestep CSV as an empty field or a 5.
     with pytest.raises(ValueError) as err:
-        WeatherRecord("t", *fields)
+        WeatherRecord(*fields)
     assert str(err.value) == message
 
 
@@ -308,7 +315,7 @@ def test_failed_records_keep_the_picard_accounting():
         records = an.run_simulation(net, weather, strategy, cfg, warm_start=False)
         failed += [(rec, wrec) for rec, wrec in zip(records, weather) if rec.failed is not None]
     for rec, wrec in failed:
-        picard = an.picard_init(net, boundary_from_record(wrec), zeros, cfg)
+        picard = picard_init(net, boundary_from_record(wrec), zeros, cfg)
         assert (rec.picard_iters, rec.picard_aborted) == (picard.iters_used, picard.aborted)
     assert any(rec.picard_iters > 0 for rec, _ in failed)
 

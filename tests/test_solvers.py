@@ -11,8 +11,10 @@ import pytest
 
 import airnet as an
 from airnet import assembly, solvers
+from airnet.assembly import ReciprocalFlowError, picard_system
+from airnet.linalg import lu_solve
 from airnet.scenario import boundary_from_record
-from airnet.solvers import walton_relaxation
+from airnet.solvers import picard_init, walton_relaxation
 from helpers import loop_assembly, many_openings_network, random_boundary, random_crack_network
 
 # facade at 10 Pa with v = 5: 0.5 * 1.25 * 0.64 * 25 = 10 (rho exact at 282.44 K)
@@ -157,7 +159,7 @@ def test_a_non_finite_start_is_refused(strategy, value):
     with pytest.raises(ValueError, match="^p0 must be finite"):
         an.solve(net, BC10, p0, strategy, an.SolverConfig())
     with pytest.raises(ValueError, match="^p0 must be finite"):
-        an.picard_init(net, BC10, p0, an.SolverConfig())
+        picard_init(net, BC10, p0, an.SolverConfig())
 
 
 @pytest.mark.parametrize("strategy", an.STRATEGIES)
@@ -228,9 +230,11 @@ def test_solve_errors_survive_pickle_and_copy():
     assert kinds == {an.NonConvergenceError, an.SingularJacobianError}
 
 
-def test_invalid_strategy():
-    with pytest.raises(ValueError):
-        an.solve(symmetric_zone(), BC10, None, "XX", an.SolverConfig())
+@pytest.mark.parametrize("strategy", ["XX", None, 5])
+def test_invalid_strategy(strategy):
+    # None and 5 raised AttributeError from str.upper.
+    with pytest.raises(ValueError, match="unknown strategy"):
+        an.solve(symmetric_zone(), BC10, None, strategy, an.SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +286,13 @@ def test_picard_step_is_the_papers_linear_system(name):
         bc = random_boundary(rng)
         p = rng.uniform(-20, 20, len(net.zones))
         matrix, rhs = loop_assembly(net, p, bc).picard
-        secant = an.picard_system(net, p, bc)
+        secant = picard_system(net, p, bc)
         f = an.residual(net, p, bc)
         terms = np.abs(secant) @ np.abs(p) + np.abs(rhs) + np.abs(f)
         assert np.all(np.abs(secant @ p - rhs - f) <= 1e-12 * terms)
-        result = an.picard_init(net, bc, p, cfg)
+        result = picard_init(net, bc, p, cfg)
         assert result.iters_used == 1 and result.aborted is None
-        paper = (1.0 - cfg.accel) * (an.lu_solve(matrix, rhs).solution - p)
+        paper = (1.0 - cfg.accel) * (lu_solve(matrix, rhs).solution - p)
         expected = p + np.clip(paper, -cfg.trunc_dp_max, cfg.trunc_dp_max)
         assert np.max(np.abs(result.pressures - expected)) <= 1e-9
 
@@ -301,7 +305,7 @@ def test_picard_trace_matches_hand_computed_geometric_sequence():
     p_star = np.array([20.0 / 3.0, 10.0 / 3.0])
     for k in (1, 2, 3, 5):
         cfg = an.SolverConfig(picard_iters=k, **cfg_base)
-        result = an.picard_init(net, BC10, np.zeros(2), cfg)
+        result = picard_init(net, BC10, np.zeros(2), cfg)
         assert result.iters_used == k
         assert result.aborted is None
         assert np.allclose(result.pressures, p_star * (1 - 0.5**k), atol=1e-9)
@@ -311,7 +315,7 @@ def test_picard_trace_matches_hand_computed_geometric_sequence():
 def test_picard_converges_on_linear_network():
     # realistic crack size so the halving residual fits the 10-iteration budget
     net = linear_chain(k=0.01)
-    result = an.picard_init(net, BC10, np.zeros(2), an.SolverConfig())
+    result = picard_init(net, BC10, np.zeros(2), an.SolverConfig())
     assert result.converged
     assert result.aborted is None
     assert result.iters_used <= 10
@@ -321,7 +325,7 @@ def test_picard_converges_on_linear_network():
 def test_picard_entry_check_short_circuits():
     net = linear_chain(k=0.01)
     solution = np.array([20.0 / 3.0, 10.0 / 3.0])
-    result = an.picard_init(net, BC10, solution, an.SolverConfig())
+    result = picard_init(net, BC10, solution, an.SolverConfig())
     assert result.converged
     assert result.iters_used == 0
 
@@ -334,12 +338,12 @@ def test_picard_truncates_each_update_to_dp_max():
     cfg_base = dict(tolerance=1e-15, max_newton_iters=10)
     previous = np.zeros(2)
     for k in range(1, 6):
-        result = an.picard_init(net, bc, np.zeros(2), an.SolverConfig(picard_iters=k, **cfg_base))
+        result = picard_init(net, bc, np.zeros(2), an.SolverConfig(picard_iters=k, **cfg_base))
         step = np.abs(result.pressures - previous)
         assert np.all(step <= 60.0 + 1e-9)
         previous = result.pressures
     # first update: a clamps to exactly 60, b is free at 200/6
-    first = an.picard_init(net, bc, np.zeros(2), an.SolverConfig(picard_iters=1, **cfg_base))
+    first = picard_init(net, bc, np.zeros(2), an.SolverConfig(picard_iters=1, **cfg_base))
     assert first.pressures[0] == pytest.approx(60.0, rel=1e-9)
     assert first.pressures[1] == pytest.approx(200.0 / 6.0, rel=1e-6)
 
@@ -352,7 +356,7 @@ def test_picard_aborts_singular_and_keeps_pressures():
     )
     bc = an.BoundaryState(5.0, 0.0, 290.0)
     p0 = np.array([1.0, 2.0])
-    result = an.picard_init(net, bc, p0, an.SolverConfig())
+    result = picard_init(net, bc, p0, an.SolverConfig())
     assert result.aborted == "singular"
     assert not result.converged
     assert result.iters_used == 0
@@ -363,7 +367,7 @@ def test_picard_aborts_singular_and_keeps_pressures():
 def test_picard_aborts_on_reciprocal_flow():
     net = an.load_network(an.bundled_example_path("iea_door"))
     bc = an.BoundaryState(0.0, 0.0, 293.0)
-    result = an.picard_init(net, bc, np.zeros(2), an.SolverConfig())
+    result = picard_init(net, bc, np.zeros(2), an.SolverConfig())
     assert result.aborted == "reciprocal-flow"
     assert result.iters_used == 0
     assert_residual_is_its_own(net, bc, result)
@@ -481,7 +485,7 @@ def test_links_evaluated_once_per_iterate(monkeypatch, strategy):
                 out = original(net, p, bc, dp_lin)
                 refused = False
                 return out
-            except an.ReciprocalFlowError:
+            except ReciprocalFlowError:
                 assert name == "picard_system"
                 raise
             finally:
@@ -584,7 +588,7 @@ def test_picard_alone_solves_majority_of_cold_starts_on_crack_fixture():
     sampled = weather[::10]
     for rec in sampled:
         bc = boundary_from_record(rec)
-        result = an.picard_init(net, bc, np.zeros(len(net.zones)), an.SolverConfig())
+        result = picard_init(net, bc, np.zeros(len(net.zones)), an.SolverConfig())
         converged += result.converged
     assert converged > len(sampled) / 2
 
